@@ -1,21 +1,17 @@
 // Scale benchmarks of the event core and the many-session farm.
 //
-// Part 1 pits both production event-queue backends -- the pooled 4-ary
-// heap (sim::EventQueue) and the hashed timing wheel
-// (sim::TimingWheelQueue) -- against the pre-refactor reference
-// implementation (sim::ReferenceEventQueue: std::function + unordered_map
-// + lazily-deleted binary heap) on identical operation streams: a
-// schedule/pop flood with small (timer-sized) and large (delivery-sized)
-// captures, the classic DES hold pattern, and the soft-state re-arm churn
-// pattern (cancel + push, the hot path of refresh timers, where the
-// wheel's O(1) unlink shines).
+// Part 1 pits the pooled 4-ary heap (sim::EventQueue) against the
+// pre-refactor reference implementation (sim::ReferenceEventQueue:
+// std::function + unordered_map + lazily-deleted binary heap) on identical
+// operation streams: a schedule/pop flood with small (timer-sized) and
+// large (delivery-sized) captures, the classic DES hold pattern, and the
+// soft-state re-arm churn pattern (cancel + push, the hot path of refresh
+// timers).
 //
 // Part 2 drives the session farm at N in {1k, 10k, 100k} concurrent
 // single-hop sessions for all five protocols, plus a 100k-session
 // single-simulator stress row and a multi-hop farm row, reporting events/s
-// and sessions/s.  --event-queue selects the farm backend; a head-to-head
-// table always runs the largest single-hop farm under BOTH backends
-// (results are bit-identical -- only the wall clock may differ).
+// and sessions/s.
 //
 // --quick shrinks the Ns for CI and always runs the determinism self-check:
 // farm results must be bit-identical across thread counts AND shard sizes
@@ -38,9 +34,9 @@
 // fabric rows: a small shared-relay farm must stay element-wise identical
 // across thread counts and shard sizes (exit 1 on mismatch).
 //
-// Usage: perf_scale [--quick] [--csv PATH] [--threads N]
-//                   [--event-queue heap|wheel] [--json PATH] [--sessions N]
-//                   [--shared-relays R] [--subscribers-per-relay S]
+// Usage: perf_scale [--quick] [--csv PATH] [--threads N] [--json PATH]
+//                   [--sessions N] [--shared-relays R]
+//                   [--subscribers-per-relay S]
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -61,8 +57,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/reference_event_queue.hpp"
 #include "sim/rng.hpp"
-#include "sim/simulator.hpp"
-#include "sim/timing_wheel_queue.hpp"
 
 namespace {
 
@@ -80,13 +74,11 @@ struct CoreJsonRow {
   std::string workload;
   double reference_ops = 0.0;
   double heap_ops = 0.0;
-  double wheel_ops = 0.0;
 };
 
-/// One farm workload under one backend.
+/// One farm workload.
 struct FarmJsonRow {
   std::string workload;
-  std::string backend;
   std::size_t sessions = 0;
   std::uint64_t peak_sessions_in_flight = 0;
   std::uint64_t events_executed = 0;
@@ -107,7 +99,6 @@ struct RingJsonRow {
 struct JsonReport {
   bool quick = false;
   std::size_t threads = 0;
-  std::string farm_backend;
   std::vector<CoreJsonRow> core;
   std::vector<RingJsonRow> ring;
   std::vector<FarmJsonRow> farm;
@@ -129,14 +120,12 @@ void write_json_report(const JsonReport& report, const std::string& path) {
   out << "  \"bench\": \"perf_scale\",\n";
   out << "  \"quick\": " << (report.quick ? "true" : "false") << ",\n";
   out << "  \"threads\": " << report.threads << ",\n";
-  out << "  \"farm_backend\": \"" << report.farm_backend << "\",\n";
   out << "  \"event_core\": [\n";
   for (std::size_t i = 0; i < report.core.size(); ++i) {
     const CoreJsonRow& row = report.core[i];
     out << "    {\"workload\": \"" << row.workload << "\", "
         << "\"reference_ops_per_s\": " << json_number(row.reference_ops)
-        << ", \"heap_ops_per_s\": " << json_number(row.heap_ops)
-        << ", \"wheel_ops_per_s\": " << json_number(row.wheel_ops) << "}"
+        << ", \"heap_ops_per_s\": " << json_number(row.heap_ops) << "}"
         << (i + 1 < report.core.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
@@ -152,7 +141,6 @@ void write_json_report(const JsonReport& report, const std::string& path) {
   for (std::size_t i = 0; i < report.farm.size(); ++i) {
     const FarmJsonRow& row = report.farm[i];
     out << "    {\"workload\": \"" << row.workload << "\", "
-        << "\"backend\": \"" << row.backend << "\", "
         << "\"sessions\": " << row.sessions << ", "
         << "\"peak_sessions_in_flight\": " << row.peak_sessions_in_flight
         << ", \"events_executed\": " << row.events_executed << ", "
@@ -262,23 +250,15 @@ double churn_rate(std::size_t live, std::size_t rounds) {
   return static_cast<double>(2 * rounds) / elapsed;
 }
 
-/// Per-workload speedups reported under the tables.
-struct CoreSpeedups {
-  double churn_heap_vs_reference = 0.0;
-  double churn_wheel_vs_heap = 0.0;
-};
-
-double add_core_row(exp::Table& table, JsonReport& json,
-                    const std::string& name, double reference, double heap,
-                    double wheel) {
-  table.add_row(
-      {name, reference, heap, wheel, heap / reference, wheel / heap});
-  json.core.push_back({name, reference, heap, wheel});
-  return wheel / heap;
+void add_core_row(exp::Table& table, JsonReport& json,
+                  const std::string& name, double reference, double heap) {
+  table.add_row({name, reference, heap, heap / reference});
+  json.core.push_back({name, reference, heap});
 }
 
-CoreSpeedups bench_event_core(exp::Table& table, JsonReport& json,
-                              bool quick) {
+/// Runs the event-core rows; returns the re-arm churn speedup of the heap
+/// over the reference queue.
+double bench_event_core(exp::Table& table, JsonReport& json, bool quick) {
   const std::size_t flood = quick ? 100000 : 1000000;
   const std::size_t live = 10000;
   const std::size_t rounds = quick ? 200000 : 2000000;
@@ -286,28 +266,21 @@ CoreSpeedups bench_event_core(exp::Table& table, JsonReport& json,
 
   add_core_row(table, json, "flood, timer-sized capture",
                flood_rate<sim::ReferenceEventQueue, SmallPayload>(flood),
-               flood_rate<sim::EventQueue, SmallPayload>(flood),
-               flood_rate<sim::TimingWheelQueue, SmallPayload>(flood));
+               flood_rate<sim::EventQueue, SmallPayload>(flood));
   add_core_row(table, json, "flood, delivery-sized capture",
                flood_rate<sim::ReferenceEventQueue, LargePayload>(flood),
-               flood_rate<sim::EventQueue, LargePayload>(flood),
-               flood_rate<sim::TimingWheelQueue, LargePayload>(flood));
+               flood_rate<sim::EventQueue, LargePayload>(flood));
   add_core_row(table, json, "hold, steady depth",
                hold_rate<sim::ReferenceEventQueue>(hold_depth, rounds),
-               hold_rate<sim::EventQueue>(hold_depth, rounds),
-               hold_rate<sim::TimingWheelQueue>(hold_depth, rounds));
+               hold_rate<sim::EventQueue>(hold_depth, rounds));
   // The headline workload: the soft-state refresh/backoff timer churn that
   // dominates every protocol simulation.  The heap pays O(log n) sift plus
-  // husk compaction per cancel; the wheel unlinks in O(1).
+  // husk compaction per cancel.
   const double ref_churn = churn_rate<sim::ReferenceEventQueue>(live, rounds);
   const double heap_churn = churn_rate<sim::EventQueue>(live, rounds);
-  const double wheel_churn = churn_rate<sim::TimingWheelQueue>(live, rounds);
-  CoreSpeedups speedups;
-  speedups.churn_heap_vs_reference = heap_churn / ref_churn;
-  speedups.churn_wheel_vs_heap =
-      add_core_row(table, json, "re-arm churn (cancel-heavy)", ref_churn,
-                   heap_churn, wheel_churn);
-  return speedups;
+  add_core_row(table, json, "re-arm churn (cancel-heavy)", ref_churn,
+               heap_churn);
+  return heap_churn / ref_churn;
 }
 
 // ---------------------------------------------------- cross-shard ring --
@@ -408,8 +381,7 @@ void bench_ring(exp::Table& table, JsonReport& json, bool quick) {
 // -------------------------------------------------------- session farm --
 
 exp::SessionFarmOptions farm_options(std::size_t sessions,
-                                     exp::ParallelSweep* engine,
-                                     sim::EventQueueBackend backend) {
+                                     exp::ParallelSweep* engine) {
   exp::SessionFarmOptions options;
   options.seed = 42;
   options.sessions = sessions;
@@ -418,14 +390,12 @@ exp::SessionFarmOptions farm_options(std::size_t sessions,
   options.arrival_rate = static_cast<double>(sessions) / 30.0;
   options.session_lifetime = 60.0;
   options.engine = engine;
-  options.event_queue = backend;
   return options;
 }
 
 void add_farm_row(exp::Table& table, JsonReport& json,
-                  const std::string& name, sim::EventQueueBackend backend,
-                  std::size_t sessions, const exp::SessionFarmResult& result,
-                  double elapsed) {
+                  const std::string& name, std::size_t sessions,
+                  const exp::SessionFarmResult& result, double elapsed) {
   const double events_per_s =
       static_cast<double>(result.events_executed) / elapsed;
   const double sessions_per_s =
@@ -435,84 +405,50 @@ void add_farm_row(exp::Table& table, JsonReport& json,
                  static_cast<double>(result.events_executed), elapsed,
                  events_per_s, sessions_per_s,
                  result.summary.mean.inconsistency});
-  json.farm.push_back({name, sim::to_string(backend), sessions,
-                       result.peak_sessions_in_flight, result.events_executed,
-                       elapsed, events_per_s, sessions_per_s,
-                       result.fabric_messages, result.fabric_rings});
+  json.farm.push_back({name, sessions, result.peak_sessions_in_flight,
+                       result.events_executed, elapsed, events_per_s,
+                       sessions_per_s, result.fabric_messages,
+                       result.fabric_rings});
 }
 
 void bench_farm(exp::Table& table, JsonReport& json, std::size_t sessions,
-                exp::ParallelSweep& engine, sim::EventQueueBackend backend) {
+                exp::ParallelSweep& engine) {
   for (const ProtocolKind kind : kAllProtocols) {
     const auto start = Clock::now();
     const exp::SessionFarmResult result =
         run_session_farm(kind, SingleHopParams::kazaa_defaults(),
-                         farm_options(sessions, &engine, backend));
+                         farm_options(sessions, &engine));
     add_farm_row(table, json, "single-hop " + std::string(to_string(kind)),
-                 backend, sessions, result, seconds_since(start));
+                 sessions, result, seconds_since(start));
   }
 }
 
 void bench_farm_stress(exp::Table& table, JsonReport& json,
-                       std::size_t sessions, exp::ParallelSweep& engine,
-                       sim::EventQueueBackend backend) {
+                       std::size_t sessions, exp::ParallelSweep& engine) {
   // One Simulator hosting every session: the true "N concurrent sessions
   // in one event queue" stress.  (peak_sessions_in_flight is exact at any
   // shard size now -- the farm merges per-shard session intervals -- so
   // single-shard is purely an event-queue stress, not a peak-truth crutch.)
-  exp::SessionFarmOptions options = farm_options(sessions, &engine, backend);
+  exp::SessionFarmOptions options = farm_options(sessions, &engine);
   options.shard_size = sessions;
   const auto start = Clock::now();
   const exp::SessionFarmResult result =
       run_session_farm(ProtocolKind::kSSRT, SingleHopParams::kazaa_defaults(),
                        options);
-  add_farm_row(table, json, "one-sim stress SS+RT", backend, sessions, result,
+  add_farm_row(table, json, "one-sim stress SS+RT", sessions, result,
                seconds_since(start));
 }
 
 void bench_farm_multihop(exp::Table& table, JsonReport& json,
-                         std::size_t sessions, exp::ParallelSweep& engine,
-                         sim::EventQueueBackend backend) {
+                         std::size_t sessions, exp::ParallelSweep& engine) {
   MultiHopParams params;
   params.hops = 4;
   const auto start = Clock::now();
   const exp::SessionFarmResult result =
       run_session_farm(ProtocolKind::kSSRT, params,
-                       farm_options(sessions, &engine, backend));
-  add_farm_row(table, json, "multi-hop SS+RT K=4", backend, sessions, result,
+                       farm_options(sessions, &engine));
+  add_farm_row(table, json, "multi-hop SS+RT K=4", sessions, result,
                seconds_since(start));
-}
-
-/// The largest single-hop farm workload under BOTH backends.  The results
-/// are bit-identical by construction (asserted here; also locked by
-/// tests/test_session_farm.cpp) -- only the wall clock may differ, which
-/// is exactly what the row pair shows.
-bool bench_farm_head_to_head(exp::Table& table, JsonReport& json,
-                             std::size_t sessions,
-                             exp::ParallelSweep& engine) {
-  exp::SessionFarmResult results[2];
-  const sim::EventQueueBackend backends[2] = {sim::EventQueueBackend::kHeap,
-                                              sim::EventQueueBackend::kWheel};
-  for (int i = 0; i < 2; ++i) {
-    const auto start = Clock::now();
-    results[i] = run_session_farm(ProtocolKind::kSSRT,
-                                  SingleHopParams::kazaa_defaults(),
-                                  farm_options(sessions, &engine, backends[i]));
-    add_farm_row(
-        table, json,
-        std::string("head-to-head SS+RT, ") + sim::to_string(backends[i]),
-        backends[i], sessions, results[i], seconds_since(start));
-  }
-  const bool identical = results[0].summary.mean.inconsistency ==
-                             results[1].summary.mean.inconsistency &&
-                         results[0].messages == results[1].messages &&
-                         results[0].events_executed ==
-                             results[1].events_executed &&
-                         results[0].horizon == results[1].horizon;
-  if (!identical) {
-    std::cerr << "head-to-head: heap and wheel farms disagree -- BUG\n";
-  }
-  return identical;
 }
 
 // ------------------------------------------------- million-session leg --
@@ -522,8 +458,7 @@ bool bench_farm_head_to_head(exp::Table& table, JsonReport& json,
 /// integral of exp(-t/300)/10 over [0,10] = 98.4%, so the in-flight peak
 /// is ~0.984 N -- N = 1050000 sustains a million concurrent sessions.
 exp::SessionFarmOptions scale_options(std::size_t sessions,
-                                      std::size_t threads,
-                                      sim::EventQueueBackend backend) {
+                                      std::size_t threads) {
   exp::SessionFarmOptions options;
   options.seed = 42;
   options.sessions = sessions;
@@ -531,7 +466,6 @@ exp::SessionFarmOptions scale_options(std::size_t sessions,
   options.session_lifetime = 300.0;
   options.shard_size = 4096;
   options.threads = threads;
-  options.event_queue = backend;
   options.keep_per_session = true;
   return options;
 }
@@ -565,15 +499,14 @@ std::uint64_t metrics_digest(const std::vector<Metrics>& sessions) {
 /// Runs the measured scale row plus the thread/shard determinism matrix.
 /// Returns false when any configuration's per-session digest diverges.
 bool bench_farm_scale(exp::Table& table, exp::Table& check, JsonReport& json,
-                      std::size_t sessions, std::size_t threads,
-                      sim::EventQueueBackend backend) {
+                      std::size_t sessions, std::size_t threads) {
   const auto start = Clock::now();
   const exp::SessionFarmResult measured =
       run_session_farm(ProtocolKind::kSSRT, SingleHopParams::kazaa_defaults(),
-                       scale_options(sessions, threads, backend));
+                       scale_options(sessions, threads));
   const double elapsed = seconds_since(start);
-  add_farm_row(table, json, "scale SS+RT, 10s window", backend, sessions,
-               measured, elapsed);
+  add_farm_row(table, json, "scale SS+RT, 10s window", sessions, measured,
+               elapsed);
   const std::uint64_t baseline = metrics_digest(measured.per_session);
   std::cout << "scale leg: " << sessions << " sessions, peak in flight "
             << measured.peak_sessions_in_flight << ", arena high water "
@@ -591,8 +524,7 @@ bool bench_farm_scale(exp::Table& table, exp::Table& check, JsonReport& json,
   bool all_ok = true;
   for (const ScaleConfig& config : configs) {
     if (config.threads == threads && config.shard_size == 4096) continue;
-    exp::SessionFarmOptions options =
-        scale_options(sessions, config.threads, backend);
+    exp::SessionFarmOptions options = scale_options(sessions, config.threads);
     options.shard_size = config.shard_size;
     const exp::SessionFarmResult result = run_session_farm(
         ProtocolKind::kSSRT, SingleHopParams::kazaa_defaults(), options);
@@ -613,9 +545,8 @@ bool bench_farm_scale(exp::Table& table, exp::Table& check, JsonReport& json,
 /// self-check (and, element-wise, in tests/test_shared_relay_farm.cpp).
 bool bench_farm_scale_xshard(exp::Table& table, JsonReport& json,
                              std::size_t sessions, std::size_t relays,
-                             std::size_t subscribers, std::size_t threads,
-                             sim::EventQueueBackend backend) {
-  exp::SessionFarmOptions options = scale_options(sessions, threads, backend);
+                             std::size_t subscribers, std::size_t threads) {
+  exp::SessionFarmOptions options = scale_options(sessions, threads);
   options.keep_per_session = false;  // measured row only; no digest needed
   options.shared_relays = relays;
   options.subscribers_per_relay = subscribers;
@@ -623,8 +554,8 @@ bool bench_farm_scale_xshard(exp::Table& table, JsonReport& json,
   const exp::SessionFarmResult result =
       run_session_farm(ProtocolKind::kSSRT, SingleHopParams::kazaa_defaults(),
                        options);
-  add_farm_row(table, json, "scale SS+RT shared-relay", backend,
-               sessions + relays, result, seconds_since(start));
+  add_farm_row(table, json, "scale SS+RT shared-relay", sessions + relays,
+               result, seconds_since(start));
   std::cout << "xshard scale leg: " << relays << " relays x " << subscribers
             << " subscribers, peak in flight "
             << result.peak_sessions_in_flight << ", "
@@ -650,12 +581,11 @@ bool summaries_identical(const exp::SessionFarmResult& a,
          a.receiver_timeouts == b.receiver_timeouts && a.horizon == b.horizon;
 }
 
-/// Farm determinism: results must not depend on thread count, shard size,
-/// or the event-queue backend.  (events_executed and the peak do depend on
-/// the shard decomposition, so the shard-size check compares the metric
-/// fields only.)
-bool self_check(exp::Table& table, sim::EventQueueBackend backend) {
-  exp::SessionFarmOptions base = farm_options(1500, nullptr, backend);
+/// Farm determinism: results must not depend on thread count or shard size.
+/// (events_executed and the peak do depend on the shard decomposition, so
+/// the shard-size check compares the metric fields only.)
+bool self_check(exp::Table& table) {
+  exp::SessionFarmOptions base = farm_options(1500, nullptr);
   bool all_ok = true;
 
   base.threads = 1;
@@ -688,19 +618,6 @@ bool self_check(exp::Table& table, sim::EventQueueBackend backend) {
   table.add_row(
       {"shard_size=97 vs 512", ok ? "identical" : "MISMATCH -- BUG"});
 
-  // The same serial baseline rerun on the OTHER backend: every metric,
-  // event count included, must come back bit-identical.
-  exp::SessionFarmOptions crossed = base;
-  crossed.event_queue = backend == sim::EventQueueBackend::kHeap
-                            ? sim::EventQueueBackend::kWheel
-                            : sim::EventQueueBackend::kHeap;
-  const exp::SessionFarmResult cross_backend = run_session_farm(
-      ProtocolKind::kSS, SingleHopParams::kazaa_defaults(), crossed);
-  const bool backend_ok = summaries_identical(serial, cross_backend);
-  all_ok = all_ok && backend_ok;
-  table.add_row({std::string("backend ") + sim::to_string(crossed.event_queue) +
-                     " vs " + sim::to_string(backend),
-                 backend_ok ? "identical" : "MISMATCH -- BUG"});
   return all_ok;
 }
 
@@ -708,8 +625,8 @@ bool self_check(exp::Table& table, sim::EventQueueBackend backend) {
 /// relays, refresh fan-out back across the ShardRing fabric -- must stay
 /// element-wise identical (per-session metric digest) across thread counts
 /// AND shard sizes, fabric counters included.
-bool xshard_self_check(exp::Table& table, sim::EventQueueBackend backend) {
-  exp::SessionFarmOptions base = farm_options(600, nullptr, backend);
+bool xshard_self_check(exp::Table& table) {
+  exp::SessionFarmOptions base = farm_options(600, nullptr);
   base.threads = 1;
   base.shard_size = 97;  // ragged: subscribers and relays straddle shards
   base.shared_relays = 6;
@@ -748,23 +665,6 @@ bool xshard_self_check(exp::Table& table, sim::EventQueueBackend backend) {
   table.add_row(
       {"xshard shard_size=512 vs 97", ok ? "identical" : "MISMATCH -- BUG"});
   return all_ok;
-}
-
-sim::EventQueueBackend backend_from_args(int argc, const char* const* argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) != "--event-queue") continue;
-    if (i + 1 >= argc) {
-      throw std::invalid_argument("--event-queue requires a value");
-    }
-    const auto parsed = sim::parse_event_queue_backend(argv[i + 1]);
-    if (!parsed) {
-      throw std::invalid_argument(
-          std::string("--event-queue must be heap or wheel, got: ") +
-          argv[i + 1]);
-    }
-    return *parsed;
-  }
-  return sim::kDefaultEventQueueBackend;
 }
 
 std::string json_path_from_args(int argc, const char* const* argv) {
@@ -806,20 +706,17 @@ int main(int argc, char** argv) {
       if (std::string_view(argv[i]) == "--quick") quick = true;
     }
     const std::size_t threads = exp::threads_from_args(argc, argv);
-    const sim::EventQueueBackend backend = backend_from_args(argc, argv);
     exp::ParallelSweep engine(threads);
 
     JsonReport json;
     json.quick = quick;
     json.threads = engine.threads();
-    json.farm_backend = sim::to_string(backend);
 
     exp::Table core(
-        "event core: reference vs pooled heap vs timing wheel "
+        "event core: reference vs pooled heap "
         "(ops/s; one push+pop or cancel+push per op pair)",
-        {"workload", "reference ops/s", "heap ops/s", "wheel ops/s",
-         "heap/ref", "wheel/heap"});
-    const CoreSpeedups speedups = bench_event_core(core, json, quick);
+        {"workload", "reference ops/s", "heap ops/s", "heap/ref"});
+    const double churn_speedup = bench_event_core(core, json, quick);
     core.print(std::cout);
     std::cout << '\n';
 
@@ -831,21 +728,17 @@ int main(int argc, char** argv) {
     ring.print(std::cout);
     std::cout << '\n';
 
-    exp::Table farm(std::string("session farm scale (single-hop sessions per "
-                                "protocol, event queue: ") +
-                        sim::to_string(backend) + ")",
+    exp::Table farm("session farm scale (single-hop sessions per protocol)",
                     {"workload", "sessions", "peak in flight", "events",
                      "seconds", "events/s", "sessions/s", "I (mean)"});
     const std::vector<std::size_t> ns =
         quick ? std::vector<std::size_t>{200, 1000}
               : std::vector<std::size_t>{1000, 10000, 100000};
-    for (const std::size_t n : ns) bench_farm(farm, json, n, engine, backend);
+    for (const std::size_t n : ns) bench_farm(farm, json, n, engine);
     // 120k sessions against a 30 s arrival window and 60 s lifetimes puts
     // the peak above 100k sessions concurrently inside ONE simulator.
-    bench_farm_stress(farm, json, quick ? 2000 : 120000, engine, backend);
-    bench_farm_multihop(farm, json, quick ? 200 : 10000, engine, backend);
-    const bool head_to_head_ok =
-        bench_farm_head_to_head(farm, json, ns.back(), engine);
+    bench_farm_stress(farm, json, quick ? 2000 : 120000, engine);
+    bench_farm_multihop(farm, json, quick ? 200 : 10000, engine);
     farm.print(std::cout);
     std::cout << '\n';
 
@@ -857,33 +750,30 @@ int main(int argc, char** argv) {
     exp::Table check("determinism self-check (SS, 1500 sessions; "
                      "xshard rows: SS+RT, 600 sessions + 6 shared relays)",
                      {"comparison", "result"});
-    const bool base_deterministic = self_check(check, backend);
-    const bool xshard_deterministic = xshard_self_check(check, backend);
+    const bool base_deterministic = self_check(check);
+    const bool xshard_deterministic = xshard_self_check(check);
     const bool deterministic = base_deterministic && xshard_deterministic;
     bool scale_ok = true;
     if (scale_sessions > 0) {
       exp::Table scale(
-          std::string("million-session leg (single-hop SS+RT, "
-                      "10 s window, 300 s lifetimes, event queue: ") +
-              sim::to_string(backend) + ")",
+          "million-session leg (single-hop SS+RT, 10 s window, 300 s "
+          "lifetimes)",
           {"workload", "sessions", "peak in flight", "events", "seconds",
            "events/s", "sessions/s", "I (mean)"});
       scale_ok = bench_farm_scale(scale, check, json, scale_sessions,
-                                  engine.threads(), backend);
+                                  engine.threads());
       if (scale_relays > 0) {
         scale_ok = bench_farm_scale_xshard(scale, json, scale_sessions,
                                            scale_relays, scale_subscribers,
-                                           engine.threads(), backend) &&
+                                           engine.threads()) &&
                    scale_ok;
       }
       scale.print(std::cout);
       std::cout << '\n';
     }
     check.print(std::cout);
-    std::cout << "\nre-arm churn speedups: heap "
-              << speedups.churn_heap_vs_reference
-              << "x over reference, wheel " << speedups.churn_wheel_vs_heap
-              << "x over heap\n";
+    std::cout << "\nre-arm churn speedup: heap " << churn_speedup
+              << "x over reference\n";
 
     const std::string csv = exp::csv_path_from_args(argc, argv);
     if (!csv.empty()) {
@@ -892,8 +782,7 @@ int main(int argc, char** argv) {
     }
     const std::string json_path = json_path_from_args(argc, argv);
     if (!json_path.empty()) write_json_report(json, json_path);
-    return (deterministic && head_to_head_ok && scale_ok && g_core_ok) ? 0
-                                                                       : 1;
+    return (deterministic && scale_ok && g_core_ok) ? 0 : 1;
   } catch (const std::exception& e) {
     std::cerr << "perf_scale: " << e.what() << '\n';
     return 2;

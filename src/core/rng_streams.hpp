@@ -1,10 +1,10 @@
 // RNG substream registry: the single source of truth for every (seed, stream)
 // substream ID used anywhere in the library.
 //
-// Bit-identity across threads, shards and event-queue backends rests on two
-// properties of the randomness plan: (1) every subsystem draws from its own
-// dedicated substream of sim::Rng, and (2) no two subsystems ever share a
-// substream ID by accident.  Both are enforced here: every stream ID is a
+// Bit-identity across threads and shards rests on two properties of the
+// randomness plan: (1) every subsystem draws from its own dedicated
+// substream of sim::Rng, and (2) no two subsystems ever share a substream
+// ID by accident.  Both are enforced here: every stream ID is a
 // named constant, and a static_assert rejects duplicates at compile time.
 // tools/lint/sigcomp_lint.py rejects any numeric-literal stream ID outside
 // this header (rule `rng-stream-literal`), so adding a stream means adding a

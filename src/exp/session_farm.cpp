@@ -43,12 +43,14 @@
 #include "exp/session_farm.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -91,12 +93,17 @@ void validate_options(const SessionFarmOptions& options) {
   if (options.sessions == 0) {
     throw std::invalid_argument("SessionFarmOptions: sessions must be > 0");
   }
-  if (options.arrival_rate <= 0.0) {
-    throw std::invalid_argument("SessionFarmOptions: arrival_rate must be > 0");
-  }
-  if (options.session_lifetime <= 0.0) {
+  // An infinite arrival rate is legal: every session then arrives at t = 0.
+  if (std::isnan(options.arrival_rate) || options.arrival_rate <= 0.0) {
     throw std::invalid_argument(
-        "SessionFarmOptions: session_lifetime must be > 0");
+        "SessionFarmOptions: arrival_rate must be > 0 (got " +
+        std::to_string(options.arrival_rate) + ")");
+  }
+  if (!std::isfinite(options.session_lifetime) ||
+      options.session_lifetime <= 0.0) {
+    throw std::invalid_argument(
+        "SessionFarmOptions: session_lifetime must be finite and > 0 (got " +
+        std::to_string(options.session_lifetime) + ")");
   }
   if (options.shard_size == 0) {
     throw std::invalid_argument("SessionFarmOptions: shard_size must be > 0");
@@ -819,7 +826,6 @@ class Shard {
         options_(options),
         first_(first),
         count_(count),
-        sim_(options.event_queue),
         arena_(count) {
     sink_.metrics.resize(count);
     sink_.churn.resize(count);
@@ -977,8 +983,7 @@ class FabricShard {
  public:
   virtual ~FabricShard() = default;
   [[nodiscard]] virtual bool complete() const = 0;
-  [[nodiscard]] virtual std::optional<double> next_pending_within(
-      double bound) const = 0;
+  [[nodiscard]] virtual std::optional<double> next_pending_time() const = 0;
   virtual void advance_to(double horizon) = 0;
   virtual void drain_incoming(double boundary) = 0;
   virtual ShardOutcome finish() = 0;
@@ -988,9 +993,8 @@ class FabricShard {
 /// shard types.
 class FabricShardBase : public FabricShard {
  public:
-  [[nodiscard]] std::optional<double> next_pending_within(
-      double bound) const final {
-    return sim_.next_pending_within(bound);
+  [[nodiscard]] std::optional<double> next_pending_time() const final {
+    return sim_.next_pending_time();
   }
 
   /// Advance phase: run every event with time <= horizon.  Never stops
@@ -1011,10 +1015,9 @@ class FabricShardBase : public FabricShard {
   }
 
  protected:
-  FabricShardBase(const SessionFarmOptions& options, CrossShardFabric& fabric,
-                  std::uint32_t shard_id, const FabricMap& map)
-      : sim_(options.event_queue),
-        fabric_(fabric),
+  FabricShardBase(CrossShardFabric& fabric, std::uint32_t shard_id,
+                  const FabricMap& map)
+      : fabric_(fabric),
         shard_id_(shard_id),
         port_(sim_, fabric, shard_id, map) {}
 
@@ -1045,7 +1048,7 @@ class SubscriberFabricShard final : public FabricShardBase {
                         const FabricMap& map, CrossShardFabric& fabric,
                         std::uint32_t shard_id, std::size_t first,
                         std::size_t count)
-      : FabricShardBase(options, fabric, shard_id, map),
+      : FabricShardBase(fabric, shard_id, map),
         kind_(kind),
         params_(params),
         options_(options),
@@ -1200,7 +1203,7 @@ class RelayFabricShard final : public FabricShardBase {
                    const SessionFarmOptions& options, const FabricMap& map,
                    CrossShardFabric& fabric, std::uint32_t shard_id,
                    std::size_t first_relay, std::size_t count)
-      : FabricShardBase(options, fabric, shard_id, map),
+      : FabricShardBase(fabric, shard_id, map),
         kind_(kind),
         params_(params),
         options_(options),
@@ -1349,7 +1352,7 @@ SessionFarmResult run_fabric_farm(ProtocolKind kind,
     if (all_complete) break;
     double min_next = kInf;
     for (const auto& shard : shard_objs) {
-      const std::optional<double> next = shard->next_pending_within(min_next);
+      const std::optional<double> next = shard->next_pending_time();
       if (next && *next < min_next) min_next = *next;
     }
     if (min_next == kInf) {

@@ -39,10 +39,6 @@ namespace sigcomp::exp {
 /// Workload and execution options of a session-farm run.
 struct SessionFarmOptions {
   std::uint64_t seed = 1;        ///< base seed of the per-session keying
-  /// Event-queue backend of the run's Simulator.  A pure performance knob:
-  /// both backends pop in the identical (time, insertion-seq) order, so the
-  /// run -- golden digests included -- is bit-identical either way.
-  sim::EventQueueBackend event_queue = sim::kDefaultEventQueueBackend;
   std::size_t sessions = 1000;   ///< N: total sessions to drive
   /// Poisson arrival rate (sessions/second).  The arrival window is
   /// N / arrival_rate long; with lifetimes longer than the window most of

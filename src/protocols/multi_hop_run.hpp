@@ -21,10 +21,6 @@ namespace sigcomp::protocols {
 /// Execution options of one multi-hop chain simulation.
 struct MultiHopSimOptions {
   std::uint64_t seed = 1;     ///< base seed of the run's RNG streams
-  /// Event-queue backend of the run's Simulator.  A pure performance knob:
-  /// both backends pop in the identical (time, insertion-seq) order, so the
-  /// run -- golden digests included -- is bit-identical either way.
-  sim::EventQueueBackend event_queue = sim::kDefaultEventQueueBackend;
   double duration = 50000.0;  ///< simulated seconds
   /// Timer law at every node (deterministic = real protocols).
   sim::Distribution timer_dist = sim::Distribution::kDeterministic;

@@ -21,7 +21,6 @@ class SingleHopRun {
       : params_(params),
         options_(options),
         mech_(mechanisms(kind)),
-        sim_(options.event_queue),
         rng_channel_(options.seed, rng::kSessionChannel),
         rng_sender_(options.seed, rng::kSessionSender),
         rng_receiver_(options.seed, rng::kSessionReceiver),

@@ -32,10 +32,6 @@ enum class LifetimeDistribution {
 /// Options of a single simulation run.
 struct SimOptions {
   std::uint64_t seed = 1;       ///< RNG family seed
-  /// Event-queue backend of the run's Simulator.  A pure performance knob:
-  /// both backends pop in the identical (time, insertion-seq) order, so the
-  /// run -- golden digests included -- is bit-identical either way.
-  sim::EventQueueBackend event_queue = sim::kDefaultEventQueueBackend;
   std::size_t sessions = 2000;  ///< renewal sessions to simulate
   /// Protocol timers: deterministic reproduces the paper's simulation
   /// (Figs. 11-12); exponential matches the analytic model's assumption

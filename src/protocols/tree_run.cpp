@@ -26,7 +26,6 @@ class TreeRun {
       : params_(std::move(params)),
         options_(options),
         mech_(mechanisms(kind)),
-        sim_(options.event_queue),
         rng_channel_(options.seed, rng::kTreeChannel),
         rng_nodes_(options.seed, rng::kTreeNodes),
         rng_lifecycle_(options.seed, rng::kTreeLifecycle),

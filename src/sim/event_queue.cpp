@@ -219,9 +219,4 @@ bool EventQueue::peek_ready(Time& time) const {
   return true;
 }
 
-bool EventQueue::peek_ready_within(Time bound, Time& time) const {
-  if (!peek_ready(time)) return false;
-  return time <= bound;
-}
-
 }  // namespace sigcomp::sim

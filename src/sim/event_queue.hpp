@@ -178,11 +178,9 @@ struct EventId {
                          const EventId&) = default;  ///< field-wise equality
 };
 
-/// One expiry extracted by a batched drain (EventQueue::drain_due /
-/// TimingWheelQueue::drain_due): the scheduled time plus the (seq, slot)
-/// identity needed to claim it (take_drained) or put it back
-/// (requeue_drained).  Shared by both event-queue backends so slice-driving
-/// callers (Simulator::run_slice) are backend-agnostic.
+/// One expiry extracted by a batched drain (EventQueue::drain_due): the
+/// scheduled time plus the (seq, slot) identity needed to claim it
+/// (take_drained) or put it back (requeue_drained).
 struct DrainedEvent {
   Time time = 0.0;        ///< scheduled execution time
   std::uint64_t seq = 0;  ///< the event's unique sequence number
@@ -262,16 +260,6 @@ class EventQueue {
   /// merge freshly scheduled events into a drained batch.  Returns false
   /// when no undrained live event remains.
   [[nodiscard]] bool peek_ready(Time& time) const;
-
-  /// Bounded peek for slice-horizon negotiation: writes the earliest
-  /// pending time and returns true only when that time is <= `bound`;
-  /// returns false when the queue is empty or provably idle past the bound.
-  /// On the heap backend this is peek_ready plus the comparison (the peek
-  /// is already O(1)); the wheel backend uses the bound to skip rotations.
-  /// Exact by contract: a false return guarantees no pending event at or
-  /// before `bound` -- the cross-shard fabric's epoch-barrier computation
-  /// (a running min over every shard) depends on it.
-  [[nodiscard]] bool peek_ready_within(Time bound, Time& time) const;
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;

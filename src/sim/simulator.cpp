@@ -4,78 +4,33 @@
 
 namespace sigcomp::sim {
 
-namespace {
-
-std::variant<EventQueue, TimingWheelQueue> make_queue(
-    EventQueueBackend backend) {
-  if (backend == EventQueueBackend::kWheel) {
-    return std::variant<EventQueue, TimingWheelQueue>{
-        std::in_place_type<TimingWheelQueue>};
-  }
-  return std::variant<EventQueue, TimingWheelQueue>{
-      std::in_place_type<EventQueue>};
-}
-
-}  // namespace
-
-const char* to_string(EventQueueBackend backend) noexcept {
-  return backend == EventQueueBackend::kWheel ? "wheel" : "heap";
-}
-
-std::optional<EventQueueBackend> parse_event_queue_backend(
-    std::string_view name) noexcept {
-  if (name == "heap") return EventQueueBackend::kHeap;
-  if (name == "wheel") return EventQueueBackend::kWheel;
-  return std::nullopt;
-}
-
-Simulator::Simulator(EventQueueBackend backend) : queue_(make_queue(backend)) {}
-
 EventId Simulator::schedule_at(Time t, EventCallback action) {
   if (t < now_) {
     throw std::invalid_argument("Simulator::schedule_at: time in the past");
   }
-  return std::visit(
-      [&](auto& queue) { return queue.push(t, std::move(action)); }, queue_);
+  return queue_.push(t, std::move(action));
 }
 
 EventId Simulator::schedule_in(Time delay, EventCallback action) {
   if (delay < 0.0) delay = 0.0;
-  const Time t = now_ + delay;
-  return std::visit(
-      [&](auto& queue) { return queue.push(t, std::move(action)); }, queue_);
+  return queue_.push(now_ + delay, std::move(action));
+}
+
+void Simulator::execute_next() {
+  auto event = queue_.pop();
+  now_ = event.time;
+  ++executed_;
+  event.action();
 }
 
 bool Simulator::step() {
-  // The callback may re-enter the simulator (scheduling is the common
-  // case), but it never changes the variant's alternative, so running it
-  // inside the visit is safe.
-  return std::visit(
-      [this](auto& queue) {
-        if (queue.empty()) return false;
-        auto event = queue.pop();
-        now_ = event.time;
-        ++executed_;
-        event.action();
-        return true;
-      },
-      queue_);
+  if (queue_.empty()) return false;
+  execute_next();
+  return true;
 }
 
 void Simulator::run_until(Time t) {
-  while (true) {
-    const bool ran = std::visit(
-        [&](auto& queue) {
-          if (queue.empty() || queue.next_time() > t) return false;
-          auto event = queue.pop();
-          now_ = event.time;
-          ++executed_;
-          event.action();
-          return true;
-        },
-        queue_);
-    if (!ran) break;
-  }
+  while (!queue_.empty() && queue_.next_time() <= t) execute_next();
   if (t > now_) now_ = t;
 }
 

@@ -4,43 +4,11 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <string_view>
-#include <utility>
-#include <variant>
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/timing_wheel_queue.hpp"
 
 namespace sigcomp::sim {
-
-/// Which pending-event structure a Simulator runs on.  Both backends expose
-/// the same interface and the same observable pop order -- (time, then
-/// insertion seq) -- so the choice is a pure performance knob; the golden-
-/// trace and differential suites lock the equivalence.
-enum class EventQueueBackend {
-  kHeap,   ///< pooled 4-ary heap (EventQueue): O(log n) arm/cancel
-  kWheel,  ///< hashed timing wheel (TimingWheelQueue): O(1) arm/cancel
-};
-
-/// CLI/bench spelling of a backend: "heap" or "wheel".
-[[nodiscard]] const char* to_string(EventQueueBackend backend) noexcept;
-
-/// Parses "heap"/"wheel" (the to_string spellings); nullopt on anything
-/// else.
-[[nodiscard]] std::optional<EventQueueBackend> parse_event_queue_backend(
-    std::string_view name) noexcept;
-
-/// Build-selected default backend: kHeap unless the build sets
-/// -DSIGCOMP_DEFAULT_EVENT_QUEUE=wheel (the CI matrix leg that runs the
-/// whole suite -- golden traces included -- on the wheel).
-#if defined(SIGCOMP_DEFAULT_EVENT_QUEUE_WHEEL)
-inline constexpr EventQueueBackend kDefaultEventQueueBackend =
-    EventQueueBackend::kWheel;
-#else
-inline constexpr EventQueueBackend kDefaultEventQueueBackend =
-    EventQueueBackend::kHeap;
-#endif
 
 /// Sequential discrete-event simulator.
 ///
@@ -50,19 +18,6 @@ inline constexpr EventQueueBackend kDefaultEventQueueBackend =
 ///   sim.run_until(100.0);
 class Simulator {
  public:
-  /// Constructs a simulator on the build-selected default backend.
-  Simulator() : Simulator(kDefaultEventQueueBackend) {}
-
-  /// Constructs a simulator on an explicit event-queue backend.
-  explicit Simulator(EventQueueBackend backend);
-
-  /// The event-queue backend this simulator runs on.
-  [[nodiscard]] EventQueueBackend backend() const noexcept {
-    return std::holds_alternative<TimingWheelQueue>(queue_)
-               ? EventQueueBackend::kWheel
-               : EventQueueBackend::kHeap;
-  }
-
   /// Current simulation time (seconds).
   [[nodiscard]] Time now() const noexcept { return now_; }
 
@@ -76,9 +31,7 @@ class Simulator {
   EventId schedule_in(Time delay, EventCallback action);
 
   /// Cancels a pending event.  Returns false when it already ran/cancelled.
-  bool cancel(EventId id) {
-    return std::visit([id](auto& queue) { return queue.cancel(id); }, queue_);
-  }
+  bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Executes the next event, if any.  Returns false when the queue is empty.
   bool step();
@@ -101,47 +54,21 @@ class Simulator {
   /// step()-driven loop would.  The executed event sequence is bit-identical
   /// to a step() loop over the same horizon.
   template <typename Stop>
-  bool run_slice(Time horizon, Stop&& stop) {
-    return std::visit(
-        [&](auto& queue) { return run_slice_on(queue, horizon, stop); },
-        queue_);
-  }
+  bool run_slice(Time horizon, Stop&& stop);
 
   /// Time of the earliest pending event, or nullopt when idle.  The
-  /// non-throwing companion to the queue backends' next_time().
+  /// non-throwing companion to EventQueue::next_time().
   [[nodiscard]] std::optional<Time> next_pending_time() const {
-    return std::visit(
-        [](const auto& queue) -> std::optional<Time> {
-          Time t = 0.0;
-          if (!queue.peek_ready(t)) return std::nullopt;
-          return t;
-        },
-        queue_);
-  }
-
-  /// Bounded companion to next_pending_time(), for negotiating a common
-  /// slice horizon across many simulators: returns the earliest pending
-  /// time only when it is <= `bound`, and lets the backend prove "nothing
-  /// at or before the bound" cheaply (the timing wheel answers from its
-  /// tick cursor without rotating).  The cross-shard fabric computes its
-  /// epoch barrier as a running min over every shard through this call.
-  [[nodiscard]] std::optional<Time> next_pending_within(Time bound) const {
-    return std::visit(
-        [bound](const auto& queue) -> std::optional<Time> {
-          Time t = 0.0;
-          if (!queue.peek_ready_within(bound, t)) return std::nullopt;
-          return t;
-        },
-        queue_);
+    Time t = 0.0;
+    if (!queue_.peek_ready(t)) return std::nullopt;
+    return t;
   }
 
   /// True when no events are pending.
-  [[nodiscard]] bool idle() const noexcept {
-    return std::visit([](const auto& queue) { return queue.empty(); }, queue_);
-  }
+  [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
   /// Number of pending (live) events.
   [[nodiscard]] std::size_t pending_events() const noexcept {
-    return std::visit([](const auto& queue) { return queue.size(); }, queue_);
+    return queue_.size();
   }
   /// Events executed since construction.
   [[nodiscard]] std::uint64_t events_executed() const noexcept { return executed_; }
@@ -149,71 +76,65 @@ class Simulator {
   /// (EventQueue::slot_capacity).  Tests assert it stays flat across
   /// session start/stop churn -- the zero-allocation teardown contract.
   [[nodiscard]] std::size_t slot_capacity() const noexcept {
-    return std::visit([](const auto& queue) { return queue.slot_capacity(); },
-                      queue_);
+    return queue_.slot_capacity();
   }
 
  private:
   // Pops and executes the queue's front event (precondition: non-empty).
-  template <typename Queue>
-  void execute_next(Queue& queue) {
-    auto event = queue.pop();
-    now_ = event.time;
-    ++executed_;
-    event.action();
-  }
+  // Defined out of line on purpose: inlined into run_slice's two pop loops
+  // it made the farm benchmark's refresh_steady workload ~4% slower.
+  void execute_next();
 
   // Returns every undispatched drained event (from index `from` on) to the
   // queue, preserving (time, seq) so pop order is unchanged.  Returns true
   // -- the "stopped" result -- so the dispatch loop can `return
   // requeue_rest(...)`.
-  template <typename Queue>
-  bool requeue_rest(Queue& queue, std::size_t from) {
+  bool requeue_rest(std::size_t from) {
     for (std::size_t i = from; i < drain_buf_.size(); ++i) {
-      queue.requeue_drained(drain_buf_[i]);
+      queue_.requeue_drained(drain_buf_[i]);
     }
     return true;
   }
 
-  // run_slice over a concrete backend.  One drain_due pass, then dispatch:
-  // before each buffered event, pop-execute any queue event scheduled
-  // strictly earlier (events pushed by slice callbacks; at equal times the
-  // buffered event has the smaller seq, so strict < preserves pop order).
-  // take_drained's generation check skips buffered events that a callback
-  // cancelled mid-slice.  A tail pop loop handles callback-scheduled events
-  // still inside the horizon after the buffer is exhausted.
-  template <typename Queue, typename Stop>
-  bool run_slice_on(Queue& queue, Time horizon, Stop& stop) {
-    drain_buf_.clear();
-    queue.drain_due(horizon, drain_buf_);
-    for (std::size_t i = 0; i < drain_buf_.size(); ++i) {
-      const DrainedEvent& e = drain_buf_[i];
-      Time t = 0.0;
-      while (queue.peek_ready(t) && t < e.time) {
-        execute_next(queue);
-        if (stop()) return requeue_rest(queue, i);
-      }
-      EventCallback action;
-      if (!queue.take_drained(e, action)) continue;  // cancelled mid-slice
-      now_ = e.time;
-      ++executed_;
-      action();
-      if (stop()) return requeue_rest(queue, i + 1);
-    }
-    Time t = 0.0;
-    while (queue.peek_ready(t) && t <= horizon) {
-      execute_next(queue);
-      if (stop()) return true;
-    }
-    return false;
-  }
-
-  std::variant<EventQueue, TimingWheelQueue> queue_;
+  EventQueue queue_;
   Time now_ = 0.0;
   std::uint64_t executed_ = 0;
   // Scratch buffer for run_slice's batched expiry delivery; member so the
   // per-slice drain reuses capacity instead of reallocating.
   std::vector<DrainedEvent> drain_buf_;
 };
+
+// One drain_due pass, then dispatch: before each buffered event, pop-execute
+// any queue event scheduled strictly earlier (events pushed by slice
+// callbacks; at equal times the buffered event has the smaller seq, so
+// strict < preserves pop order).  take_drained's generation check skips
+// buffered events that a callback cancelled mid-slice.  A tail pop loop
+// handles callback-scheduled events still inside the horizon after the
+// buffer is exhausted.
+template <typename Stop>
+bool Simulator::run_slice(Time horizon, Stop&& stop) {
+  drain_buf_.clear();
+  queue_.drain_due(horizon, drain_buf_);
+  for (std::size_t i = 0; i < drain_buf_.size(); ++i) {
+    const DrainedEvent& e = drain_buf_[i];
+    Time t = 0.0;
+    while (queue_.peek_ready(t) && t < e.time) {
+      execute_next();
+      if (stop()) return requeue_rest(i);
+    }
+    EventCallback action;
+    if (!queue_.take_drained(e, action)) continue;  // cancelled mid-slice
+    now_ = e.time;
+    ++executed_;
+    action();
+    if (stop()) return requeue_rest(i + 1);
+  }
+  Time t = 0.0;
+  while (queue_.peek_ready(t) && t <= horizon) {
+    execute_next();
+    if (stop()) return true;
+  }
+  return false;
+}
 
 }  // namespace sigcomp::sim

@@ -478,7 +478,7 @@ template <typename Session, typename Params>
 ShardOutcome run_shard(ProtocolKind kind, const Params& params,
                        const SessionFarmOptions& options, std::size_t first,
                        std::size_t count) {
-  sim::Simulator sim(options.event_queue);
+  sim::Simulator sim;
   ShardHooks hooks;
   std::vector<std::unique_ptr<Session>> sessions;
   sessions.reserve(count);

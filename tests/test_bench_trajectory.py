@@ -37,6 +37,16 @@ def snapshot(tag):
     }
 
 
+def heap_only_snapshot(tag):
+    """A perf_scale --json payload as written since the event queue has a
+    single backend: no wheel_ops_per_s, no per-row backend."""
+    data = snapshot(tag)
+    del data["farm_backend"]
+    del data["event_core"][0]["wheel_ops_per_s"]
+    del data["farm"][0]["backend"]
+    return data
+
+
 def trajectory(labels):
     return {
         "bench": "perf_scale",
@@ -100,6 +110,20 @@ class BenchTrajectoryTest(unittest.TestCase):
         # The rewritten file still validates (no duplicates introduced).
         self.assertEqual(
             run_tool("validate", "--trajectory", path).returncode, 0)
+
+    def test_ingest_accepts_heap_only_snapshot_next_to_older_ones(self):
+        path = self.write("traj.json", trajectory(["pr9", "pr10"]))
+        snap = self.write("heap.json", heap_only_snapshot("heap-only"))
+        result = run_tool("ingest", "--trajectory", path,
+                          "--snapshot", snap, "--label", "ci-gcc-Release-heap")
+        self.assertEqual(result.returncode, 0, result.stderr)
+        result = run_tool("validate", "--trajectory", path)
+        self.assertEqual(result.returncode, 0, result.stderr)
+
+    def test_tracked_trajectory_validates(self):
+        tracked = os.path.join(ROOT, "BENCH_scale.json")
+        result = run_tool("validate", "--trajectory", tracked)
+        self.assertEqual(result.returncode, 0, result.stderr)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@
 #include "protocols/multi_hop_run.hpp"
 #include "protocols/single_hop_run.hpp"
 #include "protocols/tree_run.hpp"
-#include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
 namespace sigcomp {
@@ -71,12 +70,9 @@ std::string hex(std::uint64_t v) {
   return buffer;
 }
 
-std::uint64_t single_hop_digest(
-    ProtocolKind kind,
-    sim::EventQueueBackend backend = sim::EventQueueBackend::kHeap) {
+std::uint64_t single_hop_digest(ProtocolKind kind) {
   sim::TraceLog log(1 << 20);
   protocols::SimOptions options;
-  options.event_queue = backend;
   options.seed = 2024;
   options.sessions = 30;
   options.trace = &log;
@@ -89,12 +85,9 @@ std::uint64_t single_hop_digest(
   return digest_of(log);
 }
 
-std::uint64_t multi_hop_digest(
-    ProtocolKind kind,
-    sim::EventQueueBackend backend = sim::EventQueueBackend::kHeap) {
+std::uint64_t multi_hop_digest(ProtocolKind kind) {
   sim::TraceLog log(1 << 20);
   protocols::MultiHopSimOptions options;
-  options.event_queue = backend;
   options.seed = 2024;
   options.duration = 300.0;
   options.trace = &log;
@@ -108,12 +101,10 @@ std::uint64_t multi_hop_digest(
 
 /// Tree harness under the multi-hop pin conditions (seed 2024, 300 s,
 /// per-edge defaults from MultiHopParams).
-std::uint64_t tree_digest(
-    ProtocolKind kind, const analytic::TreeParams& tree,
-    sim::EventQueueBackend backend = sim::EventQueueBackend::kHeap) {
+std::uint64_t tree_digest(ProtocolKind kind,
+                          const analytic::TreeParams& tree) {
   sim::TraceLog log(1 << 20);
   protocols::TreeSimOptions options;
-  options.event_queue = backend;
   options.seed = 2024;
   options.duration = 300.0;
   options.trace = &log;
@@ -240,43 +231,6 @@ TEST(GoldenTrace, LeafChurnRecordStreamsArePinned) {
   }
 }
 
-TEST(GoldenTrace, WheelBackendReproducesEveryPinnedDigest) {
-  // The backend-equivalence contract at golden-trace scale: the timing
-  // wheel must replay the SAME pinned constants as the heap backend --
-  // single-hop, chain and fan-out tree alike.  A digest that moves here
-  // but not in the heap tests means the wheel reordered events.
-  for (const GoldenEntry& entry : kSingleHopGolden) {
-    const std::uint64_t actual =
-        single_hop_digest(entry.kind, sim::EventQueueBackend::kWheel);
-    EXPECT_EQ(actual, entry.digest)
-        << "single-hop " << to_string(entry.kind)
-        << " diverged on the wheel backend; actual " << hex(actual);
-  }
-  for (const GoldenEntry& entry : kMultiHopGolden) {
-    const std::uint64_t actual =
-        multi_hop_digest(entry.kind, sim::EventQueueBackend::kWheel);
-    EXPECT_EQ(actual, entry.digest)
-        << "multi-hop " << to_string(entry.kind)
-        << " diverged on the wheel backend; actual " << hex(actual);
-  }
-  const analytic::TreeParams tree =
-      analytic::TreeParams::balanced(MultiHopParams{}, 2, 2);
-  constexpr GoldenEntry kTreeGolden[] = {
-      {ProtocolKind::kSS, 0x398cd857f28012f5ULL},
-      {ProtocolKind::kSSER, 0x398cd857f28012f5ULL},
-      {ProtocolKind::kSSRT, 0x16122c3c8a08afebULL},
-      {ProtocolKind::kSSRTR, 0x16122c3c8a08afebULL},
-      {ProtocolKind::kHS, 0xc5fc6d8b5c262977ULL},
-  };
-  for (const GoldenEntry& entry : kTreeGolden) {
-    const std::uint64_t actual =
-        tree_digest(entry.kind, tree, sim::EventQueueBackend::kWheel);
-    EXPECT_EQ(actual, entry.digest)
-        << "fan-out tree " << to_string(entry.kind)
-        << " diverged on the wheel backend; actual " << hex(actual);
-  }
-}
-
 // ------------------------------------------------- farm metric digests --
 
 /// FNV-1a over the farm's per-session metrics stream, every double as
@@ -301,9 +255,8 @@ std::uint64_t farm_digest_of(const std::vector<Metrics>& sessions) {
 /// Pin conditions: 60 sessions, multi-shard (16) so the digest also locks
 /// the shard decomposition and reduce order, single worker thread (the
 /// farm is bit-identical at any thread count -- locked elsewhere).
-exp::SessionFarmOptions farm_pin_options(sim::EventQueueBackend backend) {
+exp::SessionFarmOptions farm_pin_options() {
   exp::SessionFarmOptions options;
-  options.event_queue = backend;
   options.seed = 2024;
   options.sessions = 60;
   options.arrival_rate = 6.0;
@@ -315,42 +268,32 @@ exp::SessionFarmOptions farm_pin_options(sim::EventQueueBackend backend) {
 }
 
 TEST(GoldenTrace, SingleHopFarmMetricStreamIsPinned) {
-  for (const sim::EventQueueBackend backend :
-       {sim::EventQueueBackend::kHeap, sim::EventQueueBackend::kWheel}) {
-    const exp::SessionFarmResult result =
-        exp::run_session_farm(ProtocolKind::kSS, SingleHopParams::kazaa_defaults(),
-                              farm_pin_options(backend));
-    const std::uint64_t actual = farm_digest_of(result.per_session);
-    EXPECT_EQ(actual, 0xaad070c3903a7241ULL)
-        << "single-hop farm metric digest moved; actual " << hex(actual);
-  }
+  const exp::SessionFarmResult result = exp::run_session_farm(
+      ProtocolKind::kSS, SingleHopParams::kazaa_defaults(), farm_pin_options());
+  const std::uint64_t actual = farm_digest_of(result.per_session);
+  EXPECT_EQ(actual, 0xaad070c3903a7241ULL)
+      << "single-hop farm metric digest moved; actual " << hex(actual);
 }
 
 TEST(GoldenTrace, ChainFarmMetricStreamIsPinned) {
   MultiHopParams params;
   params.hops = 3;
-  for (const sim::EventQueueBackend backend :
-       {sim::EventQueueBackend::kHeap, sim::EventQueueBackend::kWheel}) {
-    const exp::SessionFarmResult result = exp::run_session_farm(
-        ProtocolKind::kSSRT, params, farm_pin_options(backend));
-    const std::uint64_t actual = farm_digest_of(result.per_session);
-    EXPECT_EQ(actual, 0xfe1367601978d13cULL)
-        << "chain farm metric digest moved; actual " << hex(actual);
-  }
+  const exp::SessionFarmResult result =
+      exp::run_session_farm(ProtocolKind::kSSRT, params, farm_pin_options());
+  const std::uint64_t actual = farm_digest_of(result.per_session);
+  EXPECT_EQ(actual, 0xfe1367601978d13cULL)
+      << "chain farm metric digest moved; actual " << hex(actual);
 }
 
 TEST(GoldenTrace, TreeFarmMetricStreamIsPinned) {
   MultiHopParams base;
   base.hops = 2;
   const analytic::TreeParams tree = analytic::TreeParams::balanced(base, 2, 2);
-  for (const sim::EventQueueBackend backend :
-       {sim::EventQueueBackend::kHeap, sim::EventQueueBackend::kWheel}) {
-    const exp::SessionFarmResult result =
-        exp::run_session_farm(ProtocolKind::kHS, tree, farm_pin_options(backend));
-    const std::uint64_t actual = farm_digest_of(result.per_session);
-    EXPECT_EQ(actual, 0x4b3eace907484c39ULL)
-        << "tree farm metric digest moved; actual " << hex(actual);
-  }
+  const exp::SessionFarmResult result =
+      exp::run_session_farm(ProtocolKind::kHS, tree, farm_pin_options());
+  const std::uint64_t actual = farm_digest_of(result.per_session);
+  EXPECT_EQ(actual, 0x4b3eace907484c39ULL)
+      << "tree farm metric digest moved; actual " << hex(actual);
 }
 
 TEST(GoldenTrace, DigestIsReproducibleWithinProcess) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "analytic/single_hop.hpp"
@@ -13,16 +14,34 @@ namespace {
 using Grid = std::tuple<ProtocolKind, double /*loss*/, double /*refresh*/,
                         double /*lifetime*/>;
 
+constexpr double kLosses[] = {0.0, 0.02, 0.1, 0.3};
+constexpr double kRefreshTimers[] = {0.5, 5.0, 50.0};
+constexpr double kLifetimes[] = {60.0, 1800.0, 20000.0};
+
+SingleHopParams grid_params(const Grid& point) {
+  const auto& [kind, loss, refresh, lifetime] = point;
+  (void)kind;
+  SingleHopParams p = SingleHopParams::kazaa_defaults();
+  p.loss = loss;
+  p.removal_rate = 1.0 / lifetime;
+  return p.with_refresh_scaled_timeout(refresh);
+}
+
+/// Test-name suffix of a grid point, e.g. "SS_RT_loss2_R50_L1800".
+std::string grid_name(const Grid& point) {
+  std::string name{to_string(std::get<0>(point))};
+  for (char& c : name) {
+    if (c == '+') c = '_';
+  }
+  name += "_loss" + std::to_string(int(std::get<1>(point) * 100));
+  name += "_R" + std::to_string(int(std::get<2>(point) * 10));
+  name += "_L" + std::to_string(int(std::get<3>(point)));
+  return name;
+}
+
 class SingleHopGrid : public ::testing::TestWithParam<Grid> {
  protected:
-  static SingleHopParams params() {
-    const auto& [kind, loss, refresh, lifetime] = GetParam();
-    (void)kind;
-    SingleHopParams p = SingleHopParams::kazaa_defaults();
-    p.loss = loss;
-    p.removal_rate = 1.0 / lifetime;
-    return p.with_refresh_scaled_timeout(refresh);
-  }
+  static SingleHopParams params() { return grid_params(GetParam()); }
   static ProtocolKind kind() { return std::get<0>(GetParam()); }
 };
 
@@ -83,46 +102,6 @@ TEST_P(SingleHopGrid, AbsorptionIsReachableFromEveryTransientState) {
   }
 }
 
-TEST_P(SingleHopGrid, ExplicitRemovalNeverHurtsConsistency) {
-  const SingleHopParams p = params();
-  switch (kind()) {
-    case ProtocolKind::kSS: {
-      const double base = SingleHopModel(ProtocolKind::kSS, p).inconsistency();
-      const double er = SingleHopModel(ProtocolKind::kSSER, p).inconsistency();
-      EXPECT_LE(er, base * (1.0 + 1e-9));
-      break;
-    }
-    case ProtocolKind::kSSRT: {
-      const double base = SingleHopModel(ProtocolKind::kSSRT, p).inconsistency();
-      const double er = SingleHopModel(ProtocolKind::kSSRTR, p).inconsistency();
-      EXPECT_LE(er, base * (1.0 + 1e-9));
-      break;
-    }
-    default:
-      GTEST_SKIP() << "pairing applies to SS and SS+RT only";
-  }
-}
-
-TEST_P(SingleHopGrid, ReliableTriggersNeverHurtConsistency) {
-  const SingleHopParams p = params();
-  switch (kind()) {
-    case ProtocolKind::kSS: {
-      const double base = SingleHopModel(ProtocolKind::kSS, p).inconsistency();
-      const double rt = SingleHopModel(ProtocolKind::kSSRT, p).inconsistency();
-      EXPECT_LE(rt, base * (1.0 + 1e-9));
-      break;
-    }
-    case ProtocolKind::kSSER: {
-      const double base = SingleHopModel(ProtocolKind::kSSER, p).inconsistency();
-      const double rtr = SingleHopModel(ProtocolKind::kSSRTR, p).inconsistency();
-      EXPECT_LE(rtr, base * (1.0 + 1e-9));
-      break;
-    }
-    default:
-      GTEST_SKIP() << "pairing applies to SS and SS+ER only";
-  }
-}
-
 TEST_P(SingleHopGrid, IntegratedCostIsFinite) {
   const Metrics m = SingleHopModel(kind(), params()).metrics();
   EXPECT_TRUE(std::isfinite(integrated_cost(m)));
@@ -132,19 +111,74 @@ TEST_P(SingleHopGrid, IntegratedCostIsFinite) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, SingleHopGrid,
     ::testing::Combine(::testing::ValuesIn(kAllProtocols),
-                       ::testing::Values(0.0, 0.02, 0.1, 0.3),
-                       ::testing::Values(0.5, 5.0, 50.0),
-                       ::testing::Values(60.0, 1800.0, 20000.0)),
-    [](const auto& param_info) {
-      std::string name{to_string(std::get<0>(param_info.param))};
-      for (char& c : name) {
-        if (c == '+') c = '_';
+                       ::testing::ValuesIn(kLosses),
+                       ::testing::ValuesIn(kRefreshTimers),
+                       ::testing::ValuesIn(kLifetimes)),
+    [](const auto& param_info) { return grid_name(param_info.param); });
+
+// Pairing properties: adding one mechanism to a protocol never raises its
+// inconsistency.  Each compares a grid protocol with its partner, so it
+// runs only over the protocols that have one.  TEST_P would instantiate it
+// over the whole grid, so each point is registered here instead, under the
+// name and parameter string TEST_P would give it.
+
+/// One grid point of a pairing property: the point's protocol against
+/// `with` at the same parameters.
+class PairingPoint : public SingleHopGrid {
+ public:
+  PairingPoint(const Grid& point, ProtocolKind with)
+      : point_(point), with_(with) {}
+
+  void TestBody() override {
+    const SingleHopParams p = grid_params(point_);
+    const double base =
+        SingleHopModel(std::get<0>(point_), p).inconsistency();
+    const double paired = SingleHopModel(with_, p).inconsistency();
+    EXPECT_LE(paired, base * (1.0 + 1e-9));
+  }
+
+ private:
+  Grid point_;
+  ProtocolKind with_;
+};
+
+struct Pairing {
+  const char* test;
+  ProtocolKind base;
+  ProtocolKind with;
+};
+
+constexpr Pairing kPairings[] = {
+    {"ExplicitRemovalNeverHurtsConsistency", ProtocolKind::kSS,
+     ProtocolKind::kSSER},
+    {"ExplicitRemovalNeverHurtsConsistency", ProtocolKind::kSSRT,
+     ProtocolKind::kSSRTR},
+    {"ReliableTriggersNeverHurtConsistency", ProtocolKind::kSS,
+     ProtocolKind::kSSRT},
+    {"ReliableTriggersNeverHurtConsistency", ProtocolKind::kSSER,
+     ProtocolKind::kSSRTR},
+};
+
+[[maybe_unused]] const bool kPairingsRegistered = [] {
+  for (const Pairing& pairing : kPairings) {
+    for (const double loss : kLosses) {
+      for (const double refresh : kRefreshTimers) {
+        for (const double lifetime : kLifetimes) {
+          const Grid point{pairing.base, loss, refresh, lifetime};
+          const ProtocolKind with = pairing.with;
+          ::testing::RegisterTest(
+              "Grid/SingleHopGrid",
+              (std::string(pairing.test) + "/" + grid_name(point)).c_str(),
+              nullptr, ::testing::PrintToString(point).c_str(), __FILE__,
+              __LINE__, [point, with]() -> SingleHopGrid* {
+                return new PairingPoint(point, with);
+              });
+        }
       }
-      name += "_loss" + std::to_string(int(std::get<1>(param_info.param) * 100));
-      name += "_R" + std::to_string(int(std::get<2>(param_info.param) * 10));
-      name += "_L" + std::to_string(int(std::get<3>(param_info.param)));
-      return name;
-    });
+    }
+  }
+  return true;
+}();
 
 // Monotonicity sweeps (separate suite so the grid above stays cheap).
 

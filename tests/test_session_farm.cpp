@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/params.hpp"
 #include "core/protocol.hpp"
@@ -67,29 +69,6 @@ TEST(SessionFarm, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.horizon, parallel.horizon);
     EXPECT_EQ(serial.receiver_timeouts, parallel.receiver_timeouts);
   }
-}
-
-TEST(SessionFarm, BitIdenticalAcrossEventQueueBackends) {
-  // The determinism contract extends to the event-core backend: heap and
-  // wheel farms must agree on every aggregate, down to the event count.
-  SessionFarmOptions base = small_farm(400);
-  base.shard_size = 64;
-  base.event_queue = sim::EventQueueBackend::kHeap;
-  const SessionFarmResult heap = run_session_farm(
-      ProtocolKind::kSSRT, SingleHopParams::kazaa_defaults(), base);
-  SessionFarmOptions wheel_opt = base;
-  wheel_opt.event_queue = sim::EventQueueBackend::kWheel;
-  const SessionFarmResult wheel = run_session_farm(
-      ProtocolKind::kSSRT, SingleHopParams::kazaa_defaults(), wheel_opt);
-  EXPECT_EQ(heap.summary.mean.inconsistency, wheel.summary.mean.inconsistency);
-  EXPECT_EQ(heap.summary.mean.message_rate, wheel.summary.mean.message_rate);
-  EXPECT_EQ(heap.summary.inconsistency.half_width,
-            wheel.summary.inconsistency.half_width);
-  EXPECT_EQ(heap.messages, wheel.messages);
-  EXPECT_EQ(heap.events_executed, wheel.events_executed);
-  EXPECT_EQ(heap.horizon, wheel.horizon);
-  EXPECT_EQ(heap.receiver_timeouts, wheel.receiver_timeouts);
-  EXPECT_EQ(heap.peak_sessions_in_flight, wheel.peak_sessions_in_flight);
 }
 
 TEST(SessionFarm, BitIdenticalAcrossShardSizes) {
@@ -224,6 +203,34 @@ TEST(SessionFarm, ValidatesOptions) {
   options.shard_size = 0;
   EXPECT_THROW((void)run_session_farm(ProtocolKind::kSS, params, options),
                std::invalid_argument);
+  // Non-finite values are rejected up front, by name, before they reach the
+  // event queue.
+  const auto expect_rejected = [&](const SessionFarmOptions& bad,
+                                   const std::string& field) {
+    try {
+      (void)run_session_farm(ProtocolKind::kSS, params, bad);
+      ADD_FAILURE() << field << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  options = small_farm(10);
+  options.arrival_rate = kNan;
+  expect_rejected(options, "arrival_rate");
+  options = small_farm(10);
+  options.session_lifetime = kNan;
+  expect_rejected(options, "session_lifetime");
+  options = small_farm(10);
+  options.session_lifetime = kInf;
+  expect_rejected(options, "session_lifetime");
+  // An infinite arrival rate is legal: every session arrives at t = 0.
+  options = small_farm(10);
+  options.arrival_rate = kInf;
+  EXPECT_EQ(run_session_farm(ProtocolKind::kSS, params, options).sessions,
+            10u);
   // Leaf churn prunes trees; a single-hop farm has none to prune.
   options = small_farm(10);
   options.leaf_churn.leaf_lifetime = 30.0;

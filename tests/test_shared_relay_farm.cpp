@@ -1,7 +1,7 @@
 // Tests of the shared-relay workload: the SharedRelayHub protocol endpoint
 // in isolation, the fabric farm's determinism contract (element-wise
-// identical per-session results across thread counts, shard sizes AND
-// event-queue backends), the new counters, option validation, and the
+// identical per-session results across thread counts and shard sizes), the
+// new counters, option validation, and the
 // explicit-teardown pricing satellite.  Suite names carry "SharedRelay" so
 // the CI TSan leg picks them up.
 #include <gtest/gtest.h>
@@ -168,35 +168,6 @@ TEST(SharedRelayFarm, ElementWiseIdenticalAcrossThreadsAndShardSizes) {
                 golden.peak_sessions_in_flight);
     }
   }
-}
-
-TEST(SharedRelayFarm, BitIdenticalAcrossEventQueueBackends) {
-  // Same decomposition, both backends: the negotiated epoch horizons (via
-  // next_pending_within) and every event must agree exactly, so even the
-  // executed-event count matches.
-  const SingleHopParams params = SingleHopParams::kazaa_defaults();
-  SessionFarmOptions heap_options = relay_farm(48, 4, 6);
-  heap_options.shard_size = 16;
-  heap_options.threads = 2;
-  heap_options.event_queue = sim::EventQueueBackend::kHeap;
-  SessionFarmOptions wheel_options = heap_options;
-  wheel_options.event_queue = sim::EventQueueBackend::kWheel;
-  const SessionFarmResult heap =
-      run_session_farm(ProtocolKind::kSSRT, params, heap_options);
-  const SessionFarmResult wheel =
-      run_session_farm(ProtocolKind::kSSRT, params, wheel_options);
-  ASSERT_EQ(heap.per_session.size(), wheel.per_session.size());
-  for (std::size_t i = 0; i < heap.per_session.size(); ++i) {
-    EXPECT_EQ(heap.per_session[i].inconsistency,
-              wheel.per_session[i].inconsistency);
-    EXPECT_EQ(heap.per_session[i].raw_message_rate,
-              wheel.per_session[i].raw_message_rate);
-  }
-  EXPECT_EQ(heap.messages, wheel.messages);
-  EXPECT_EQ(heap.fabric_messages, wheel.fabric_messages);
-  EXPECT_EQ(heap.fabric_epochs, wheel.fabric_epochs);
-  EXPECT_EQ(heap.events_executed, wheel.events_executed);
-  EXPECT_EQ(heap.horizon, wheel.horizon);
 }
 
 TEST(SharedRelayFarm, ZeroRelaysLeavesFabricCountersZero) {

@@ -4,7 +4,6 @@
 
 #include <functional>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 namespace sigcomp::sim {
@@ -107,68 +106,6 @@ TEST(Simulator, SimultaneousEventsRunInScheduleOrder) {
   s.schedule_at(1.0, [&] { order.push_back(2); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(Simulator, BackendSelectionIsExplicitAndReported) {
-  const Simulator def;
-  EXPECT_EQ(def.backend(), kDefaultEventQueueBackend);
-  const Simulator heap(EventQueueBackend::kHeap);
-  EXPECT_EQ(heap.backend(), EventQueueBackend::kHeap);
-  const Simulator wheel(EventQueueBackend::kWheel);
-  EXPECT_EQ(wheel.backend(), EventQueueBackend::kWheel);
-}
-
-TEST(Simulator, BackendNamesRoundTrip) {
-  EXPECT_STREQ(to_string(EventQueueBackend::kHeap), "heap");
-  EXPECT_STREQ(to_string(EventQueueBackend::kWheel), "wheel");
-  EXPECT_EQ(parse_event_queue_backend("heap"), EventQueueBackend::kHeap);
-  EXPECT_EQ(parse_event_queue_backend("wheel"), EventQueueBackend::kWheel);
-  EXPECT_FALSE(parse_event_queue_backend("ring").has_value());
-  EXPECT_FALSE(parse_event_queue_backend("").has_value());
-}
-
-TEST(Simulator, BackendsProduceIdenticalEventSequences) {
-  // The whole Simulator surface -- schedule_at/in, cancel, run_until,
-  // simultaneous ties -- driven once per backend; the observable event
-  // sequence (times and payload order) must match exactly.
-  const auto drive = [](EventQueueBackend backend) {
-    Simulator s(backend);
-    std::vector<std::pair<double, int>> fired;
-    const auto record = [&fired, &s](int tag) {
-      fired.emplace_back(s.now(), tag);
-    };
-    s.schedule_at(1.0, [&, record] { record(1); });
-    s.schedule_at(1.0, [&, record] { record(2); });  // tie
-    const EventId dead = s.schedule_at(1.5, [&, record] { record(99); });
-    s.schedule_in(2.0, [&, record] {
-      record(3);
-      s.schedule_in(-1.0, [&, record] { record(4); });  // clamps to now
-      s.schedule_in(500.0, [&, record] { record(6); });  // far future
-    });
-    s.cancel(dead);
-    s.run_until(100.0);
-    s.schedule_at(100.5, [&, record] { record(5); });
-    s.run();
-    return fired;
-  };
-  const auto heap = drive(EventQueueBackend::kHeap);
-  const auto wheel = drive(EventQueueBackend::kWheel);
-  EXPECT_EQ(heap, wheel);
-  ASSERT_EQ(heap.size(), 6u);
-}
-
-TEST(Simulator, WheelBackendHandlesSelfPerpetuatingChains) {
-  Simulator s(EventQueueBackend::kWheel);
-  int fired = 0;
-  std::function<void()> tick = [&] {
-    ++fired;
-    s.schedule_in(1.0, tick);
-  };
-  s.schedule_in(1.0, tick);
-  s.run(1000);
-  EXPECT_EQ(fired, 1000);
-  EXPECT_DOUBLE_EQ(s.now(), 1000.0);
-  EXPECT_EQ(s.events_executed(), 1000u);
 }
 
 }  // namespace

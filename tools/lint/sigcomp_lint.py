@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """sigcomp_lint -- static determinism checker for the sigcomp library.
 
-The repo's crown-jewel invariant is bit-identical results across threads,
-shards and event-queue backends.  The differential suites and pinned golden
+The repo's crown-jewel invariant is bit-identical results across threads
+and shards.  The differential suites and pinned golden
 digests enforce it dynamically; this pass enforces it at the source level,
 before any test runs, by rejecting the constructs that historically break
 bit-identity:

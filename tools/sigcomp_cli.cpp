@@ -180,31 +180,6 @@ sim::DelayModel delay_model_option(const exp::ArgParser& parser) {
   return sim::DelayModel::kExponential;
 }
 
-/// Registers --event-queue (the Simulator timer-core selector) with the
-/// build's default backend.  Shared flag family: see docs/CLI.md.
-void add_event_queue_option(exp::ArgParser& parser) {
-  parser.add_option("event-queue",
-                    "simulator event-queue backend: heap (pooled 4-ary heap) "
-                    "or wheel (hashed timing wheel); pop order and results "
-                    "are bit-identical, wheel is faster under timer churn",
-                    sim::to_string(sim::kDefaultEventQueueBackend));
-}
-
-/// Parses --event-queue into a backend.  `simulating` is false when the
-/// command's output is purely analytic (or the sim column is off): the
-/// flag is still validated -- a typo never passes silently -- but the user
-/// is told where it takes effect, mirroring the delay-model convention.
-sim::EventQueueBackend event_queue_option(const exp::ArgParser& parser,
-                                          bool simulating,
-                                          const char* hint) {
-  const std::string name = parser.get_choice("event-queue", {"heap", "wheel"});
-  if (!simulating && parser.passed("event-queue")) {
-    std::cerr << "note: --event-queue selects the simulator's timer core; "
-              << hint << '\n';
-  }
-  return *sim::parse_event_queue_backend(name);
-}
-
 void finish(const exp::Table& table, const exp::ArgParser& parser) {
   table.print(std::cout);
   const std::string csv = parser.get("csv");
@@ -227,7 +202,6 @@ int cmd_evaluate(int argc, const char* const* argv) {
   parser.add_option("delay-shape",
                     "Pareto tail index / lognormal sigma of --delay-model",
                     "1.5");
-  add_event_queue_option(parser);
   parser.add_option("csv", "write rows to this CSV file", "");
   parser.add_flag("sim", "also run the discrete-event simulator");
   if (!parser.parse(argc, argv)) {
@@ -244,8 +218,6 @@ int cmd_evaluate(int argc, const char* const* argv) {
   // Validate the delay flags even when the sim column is off, so a typo
   // never passes silently -- but tell the user they have no effect there.
   const sim::DelayModel delay_model = delay_model_option(parser);
-  const sim::EventQueueBackend event_queue = event_queue_option(
-      parser, with_sim, "pass --sim to see the simulated columns");
   const sim::DelayConfig delay_config{delay_model, p.delay,
                                       parser.get_double("delay-shape")};
   delay_config.validate();
@@ -276,7 +248,6 @@ int cmd_evaluate(int argc, const char* const* argv) {
       options.sim.seed = static_cast<std::uint64_t>(parser.get_long("seed"));
       options.sim.delay_model = delay_config.model;
       options.sim.delay_shape = delay_config.shape;
-      options.sim.event_queue = event_queue;
       options.replications = count_option(parser, "replications");
       options.engine = engine.get();
       const exp::MetricsSummary sim =
@@ -306,7 +277,6 @@ int cmd_multihop(int argc, const char* const* argv) {
   parser.add_option("timeout", "state-timeout timer T in seconds", "15");
   parser.add_option("retrans", "retransmission timer Gamma in seconds", "0.12");
   add_loss_model_options(parser);
-  add_event_queue_option(parser);
   parser.add_option("csv", "write rows to this CSV file", "");
   parser.add_flag("per-hop", "print the per-hop inconsistency table instead");
   if (!parser.parse(argc, argv)) {
@@ -320,8 +290,6 @@ int cmd_multihop(int argc, const char* const* argv) {
   const MultiHopParams p =
       multi_hop_params(parser, /*with_false_signal=*/false,
                        /*analytic_only=*/true);
-  (void)event_queue_option(parser, /*simulating=*/false,
-                           "this command is purely analytic");
 
   if (parser.flag("per-hop")) {
     exp::Table table("per-hop inconsistency", {"hop", "SS", "SS+RT", "HS"});
@@ -514,7 +482,6 @@ int cmd_tree(int argc, const char* const* argv) {
   parser.add_option("delay-shape",
                     "Pareto tail index / lognormal sigma of --delay-model",
                     "1.5");
-  add_event_queue_option(parser);
   parser.add_option("csv", "write rows to this CSV file", "");
   parser.add_flag("per-leaf", "print the per-leaf path table instead");
   if (!parser.parse(argc, argv)) {
@@ -536,7 +503,6 @@ int cmd_tree(int argc, const char* const* argv) {
   options.duration = parser.get_double("duration");
   options.delay_model = delay_model_option(parser);
   options.delay_shape = parser.get_double("delay-shape");
-  options.event_queue = event_queue_option(parser, /*simulating=*/true, "");
   options.churn.leaf_lifetime = parser.get_double("leaf-lifetime");
   options.churn.rejoin_rate = parser.get_double("churn-rate");
   options.churn.validate();
@@ -676,7 +642,6 @@ int cmd_sweep(int argc, const char* const* argv) {
   parser.add_option("to", "sweep end", "100");
   parser.add_option("points", "number of sweep points", "15");
   parser.add_option("threads", "worker threads (0 = all cores)", "0");
-  add_event_queue_option(parser);
   parser.add_option("csv", "write rows to this CSV file", "");
   parser.add_flag("linear", "linear spacing instead of logarithmic");
   parser.add_flag("couple-timeout", "keep T = 3R while sweeping refresh");
@@ -689,8 +654,6 @@ int cmd_sweep(int argc, const char* const* argv) {
     return 0;
   }
   const SingleHopParams base = single_hop_params(parser);
-  (void)event_queue_option(parser, /*simulating=*/false,
-                           "this command is purely analytic");
   const std::string param = parser.get("param");
   const auto apply = [&](double v) {
     SingleHopParams p = base;
@@ -905,7 +868,6 @@ int cmd_scale(int argc, const char* const* argv) {
   parser.add_option("delay-shape",
                     "Pareto tail index / lognormal sigma of --delay-model",
                     "1.5");
-  add_event_queue_option(parser);
   parser.add_option("csv", "write rows to this CSV file", "");
   if (!parser.parse(argc, argv)) {
     std::cerr << parser.error() << '\n';
@@ -931,7 +893,6 @@ int cmd_scale(int argc, const char* const* argv) {
   options.shard_size = count_option(parser, "shard-size");
   options.delay_model = delay_model_option(parser);
   options.delay_shape = parser.get_double("delay-shape");
-  options.event_queue = event_queue_option(parser, /*simulating=*/true, "");
   exp::ParallelSweep engine(count_option(parser, "threads"));
   options.engine = &engine;
 
