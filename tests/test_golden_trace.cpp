@@ -296,6 +296,31 @@ TEST(GoldenTrace, TreeFarmMetricStreamIsPinned) {
       << "tree farm metric digest moved; actual " << hex(actual);
 }
 
+TEST(GoldenTrace, SharedRelayFarmMetricStreamIsPinned) {
+  // The lockstep-epoch schedule pinned end to end: besides the per-session
+  // metrics, the event count and horizon lock the epoch timeline and the
+  // fabric counters lock routing, delivery and the relay hubs.
+  exp::SessionFarmOptions options = farm_pin_options();
+  options.shared_relays = 2;
+  options.subscribers_per_relay = 8;
+  const exp::SessionFarmResult result = exp::run_session_farm(
+      ProtocolKind::kSSRT, SingleHopParams::kazaa_defaults(), options);
+  const std::uint64_t actual = farm_digest_of(result.per_session);
+  EXPECT_EQ(actual, 0xbedd14ff0ffba92eULL)
+      << "shared-relay farm metric digest moved; actual " << hex(actual);
+  EXPECT_EQ(result.events_executed, 1205u);
+  const auto horizon_bits = std::bit_cast<std::uint64_t>(result.horizon);
+  EXPECT_EQ(horizon_bits, 0x405487c2402e5d6cULL)
+      << "shared-relay farm horizon moved; actual " << hex(horizon_bits);
+  EXPECT_EQ(result.fabric_messages, 234u);
+  EXPECT_EQ(result.fabric_dropped, 2u);
+  EXPECT_EQ(result.fabric_epochs, 69u);
+  EXPECT_EQ(result.fabric_rings, 2u);
+  EXPECT_EQ(result.relay_installs, 16u);
+  EXPECT_EQ(result.relay_refreshes, 93u);
+  EXPECT_EQ(result.relay_soft_timeouts, 0u);
+}
+
 TEST(GoldenTrace, DigestIsReproducibleWithinProcess) {
   // The digest itself must be a pure function of the run.
   EXPECT_EQ(single_hop_digest(ProtocolKind::kSS),
