@@ -16,7 +16,10 @@
 //    owns the strided shard set {w, w+W, ...} and advances each shard's
 //    Simulator in time slices (Simulator::run_slice), with batched
 //    timer-expiry delivery amortizing queue pops on the refresh-storm hot
-//    path.
+//    path.  Every shard -- single-hop, chain/tree or shared relay -- is one
+//    FarmShard<Session, Params>; only the slice schedule differs between
+//    ring-free runs (free-running) and fabric runs (lockstep epochs, see
+//    "the two schedules" below).
 //  * Exact peak_sessions_in_flight: the reduce step merges every session's
 //    [begin, completion] endpoints across shards and sweeps them globally,
 //    replacing the summed-per-shard upper bound.
@@ -44,7 +47,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -110,23 +112,56 @@ void validate_options(const SessionFarmOptions& options) {
   }
   options.leaf_churn.validate();
   options.scenario.validate();
+  if (options.shared_relays == 0) return;
+  if (options.subscribers_per_relay == 0) {
+    throw std::invalid_argument(
+        "SessionFarmOptions: subscribers_per_relay must be > 0 with shared "
+        "relays");
+  }
+  if (options.subscribers_per_relay >
+      options.sessions / options.shared_relays) {
+    throw std::invalid_argument(
+        "SessionFarmOptions: shared_relays * subscribers_per_relay must be "
+        "<= sessions");
+  }
 }
 
-/// Global-index -> shard mapping of a fabric run.  Subscriber shards
-/// partition [0, sessions) into the SAME fixed blocks as the base farm;
-/// relay shards partition [sessions, sessions + relays) with the same
-/// shard_size, starting at a fresh shard boundary (a shard never mixes the
-/// two session types).  Pure arithmetic on global indices, so every worker
-/// can route without shared state.
-struct FabricMap {
-  std::size_t shard_size = 1;
-  std::size_t sessions = 0;    ///< subscriber count (relays start here)
-  std::size_t sub_shards = 0;  ///< number of subscriber shards
+/// Global-index <-> shard mapping.  Farm shards partition [0, sessions)
+/// into fixed blocks of shard_size; relay shards (fabric runs only)
+/// partition [sessions, sessions + relays) with the same shard_size,
+/// starting at a fresh shard boundary (a shard never mixes the two session
+/// types).  Pure arithmetic on global indices, so every worker can route
+/// without shared state.
+struct ShardMap {
+  explicit ShardMap(const SessionFarmOptions& options)
+      : shard_size(std::min(options.shard_size, options.sessions)),
+        sessions(options.sessions),
+        relays(options.shared_relays),
+        farm_shards((sessions + shard_size - 1) / shard_size),
+        shards(farm_shards + (relays + shard_size - 1) / shard_size) {}
+
+  std::size_t shard_size;
+  std::size_t sessions;     ///< farm sessions (relays start here)
+  std::size_t relays;       ///< shared relay sessions
+  std::size_t farm_shards;  ///< shards [0, farm_shards) hold farm sessions
+  std::size_t shards;       ///< farm shards + relay shards
 
   [[nodiscard]] std::uint32_t shard_of(std::uint64_t g) const noexcept {
     if (g < sessions) return static_cast<std::uint32_t>(g / shard_size);
-    return static_cast<std::uint32_t>(sub_shards +
+    return static_cast<std::uint32_t>(farm_shards +
                                       (g - sessions) / shard_size);
+  }
+
+  /// Global index of shard `s`'s first session.
+  [[nodiscard]] std::size_t first(std::size_t s) const noexcept {
+    return s < farm_shards ? s * shard_size
+                           : sessions + (s - farm_shards) * shard_size;
+  }
+
+  /// Sessions in shard `s`.
+  [[nodiscard]] std::size_t count(std::size_t s) const noexcept {
+    const std::size_t end = s < farm_shards ? sessions : sessions + relays;
+    return std::min(shard_size, end - first(s));
   }
 };
 
@@ -145,14 +180,15 @@ struct FabricCtx {
   std::uint64_t seq = 0;     ///< per-source send counter
 };
 
-/// Producer half of a shard's fabric attachment: stamps and pushes outgoing
-/// messages onto the ring toward the destination's shard.  Called only from
-/// inside the owning shard's own events (the advance phase), which is the
-/// ring-growth-safe producer window.
+/// A shard's fabric attachment.  send() is the producer half: it stamps
+/// and pushes outgoing messages onto the ring toward the destination's
+/// shard, and is called only from inside the owning shard's own events (the
+/// advance phase), the ring-growth-safe producer window.  drain() is the
+/// consumer half, called only in the drain phase.
 class FabricPort {
  public:
   FabricPort(sim::Simulator& sim, CrossShardFabric& fabric,
-             std::uint32_t shard, FabricMap map)
+             std::uint32_t shard, const ShardMap& map)
       : sim_(sim), fabric_(fabric), shard_(shard), map_(map) {}
 
   void send(FabricCtx& ctx, std::uint64_t dest, const Message& message) {
@@ -166,11 +202,17 @@ class FabricPort {
                                message});
   }
 
+  /// Appends every entry on the shard's incoming rings to `out`; returns
+  /// the count.
+  std::size_t drain(std::vector<CrossShardEntry>& out) {
+    return fabric_.drain_into(shard_, out);
+  }
+
  private:
   sim::Simulator& sim_;
   CrossShardFabric& fabric_;
   std::uint32_t shard_;
-  FabricMap map_;
+  ShardMap map_;
 };
 
 /// Where sessions deposit their results, indexed by the session's local
@@ -193,15 +235,12 @@ struct ShardSink {
   std::uint64_t relay_refreshes = 0;    ///< hub refreshes (relay shards)
   std::uint64_t relay_soft_timeouts = 0;  ///< hub slot expiries
   std::size_t completed = 0;
-  /// Hands a completed session's slot to the arena's cooling list.  Bound
-  /// by the shard (captures one pointer; fits the std::function SBO, so
-  /// completion stays allocation-free).
-  std::function<void(std::uint32_t)> retire;
-  /// Fabric runs only: the shard nulls the completed session's endpoint so
-  /// late fabric deliveries are dropped deterministically.  Empty (and
-  /// never invoked) outside fabric mode -- the branch keeps the zero-relay
-  /// farm bit-identical.
-  std::function<void(std::size_t)> fabric_done;
+  /// Hands a completed session (arena slot, local index) back to the
+  /// shard: the slot goes to the arena's cooling list and, in fabric runs,
+  /// the session's fabric endpoint closes so late deliveries are dropped
+  /// deterministically.  Bound by the shard (captures one pointer; fits the
+  /// std::function SBO, so completion stays allocation-free).
+  std::function<void(std::uint32_t, std::size_t)> retire;
 };
 
 /// Per-session randomness: eight independent streams keyed to the session's
@@ -247,6 +286,20 @@ struct SessionRngs {
   }
 };
 
+/// Session `global_index`'s staggered Poisson arrival: conditioned on N
+/// arrivals in the window [0, N / arrival_rate), arrival times are iid
+/// uniform over it.  The first draw of a fresh kSessionLifecycle stream --
+/// exactly the draw the session repeats at construction -- so the shard's
+/// pre-scan and the session agree on the time without sharing state.
+double staggered_arrival(const SessionFarmOptions& options,
+                         std::uint64_t global_index) {
+  sim::Rng lifecycle(replica_seed(options.seed, global_index, 0),
+                     rng::kSessionLifecycle);
+  const double window =
+      static_cast<double>(options.sessions) / options.arrival_rate;
+  return window * lifecycle.uniform();
+}
+
 /// One single-hop session: arrival -> install -> updates -> removal ->
 /// absorption, measured over [arrival, absorption].  A one-shot version of
 /// the renewal construction in protocols/single_hop_run.cpp, flattened for
@@ -257,6 +310,11 @@ struct SessionRngs {
 /// shard calls begin() immediately after.
 class SingleHopSession {
  public:
+  static double arrival_time(const SessionFarmOptions& options,
+                             std::uint64_t global_index) {
+    return staggered_arrival(options, global_index);
+  }
+
   SingleHopSession(sim::Simulator& sim, ProtocolKind kind,
                    const SingleHopParams& params,
                    const SessionFarmOptions& options,
@@ -303,26 +361,33 @@ class SingleHopSession {
   /// The arena slot this session occupies; handed back on retirement.
   void set_slot(std::uint32_t slot) noexcept { slot_ = slot; }
 
-  /// Fabric runs only, before begin(): wires a RelayClient that installs
-  /// this session's state at relay session `relay` (global index) across
-  /// the cross-shard fabric.  `self` is this session's global index -- the
-  /// source half of every outgoing stamp and the installed value.
-  void attach_relay(FabricPort* port, std::uint64_t self,
-                    std::uint64_t relay) {
-    fabric_ctx_ = FabricCtx{port, self, 0};
+  /// Fabric runs only, before begin(): the first
+  /// shared_relays * subscribers_per_relay sessions wire a RelayClient that
+  /// installs their state at relay session (self mod R) across the
+  /// cross-shard fabric; the rest return false and stay off the fabric.
+  /// `self` is this session's global index -- the source half of every
+  /// outgoing stamp and the installed value.
+  bool join_fabric(FabricPort& port, std::uint64_t self) {
+    const std::size_t relays = options_.shared_relays;
+    if (self >= relays * options_.subscribers_per_relay) return false;
+    fabric_ctx_ = FabricCtx{&port, self, 0};
     relay_client_.emplace(
         sim_, rngs_.relay,
         protocols::TimerSettings{options_.timer_dist, params_.refresh_timer,
                                  params_.timeout_timer,
                                  params_.retrans_timer},
-        relay, [ctx = &fabric_ctx_](std::uint64_t dest, const Message& m) {
+        options_.sessions + self % relays,
+        [ctx = &fabric_ctx_](std::uint64_t dest, const Message& m) {
           ctx->port->send(*ctx, dest, m);
         });
+    return true;
   }
 
-  /// A fabric delivery addressed to this session (relay echoes).
-  void deliver_fabric(const Message& message) {
-    if (relay_client_) relay_client_->handle(message);
+  /// A fabric delivery addressed to this session (relay echoes); always
+  /// accepted.
+  bool deliver_fabric(const CrossShardEntry& entry) {
+    relay_client_->handle(entry.message);
+    return true;
   }
 
   /// Starts the session (the body of its arrival event).
@@ -431,8 +496,7 @@ class SingleHopSession {
     sink_.messages += messages;
     sink_.receiver_timeouts += receiver_.timeouts();
     ++sink_.completed;
-    if (sink_.fabric_done) sink_.fabric_done(local_);
-    sink_.retire(slot_);
+    sink_.retire(slot_, local_);
   }
 
   sim::Simulator& sim_;
@@ -481,6 +545,11 @@ class SingleHopSession {
 /// scale leg is single-hop) that does not recycle anyway.
 class TreeSession {
  public:
+  static double arrival_time(const SessionFarmOptions& options,
+                             std::uint64_t global_index) {
+    return staggered_arrival(options, global_index);
+  }
+
   TreeSession(sim::Simulator& sim, ProtocolKind kind,
               const analytic::TreeParams& params,
               const SessionFarmOptions& options, std::uint64_t global_index,
@@ -548,6 +617,13 @@ class TreeSession {
 
   /// Never recyclable -- see the class comment.
   [[nodiscard]] bool quiescent() const noexcept { return false; }
+
+  /// Trees never ride the cross-shard fabric: shared relays are a
+  /// single-hop workload, rejected before a tree farm starts.
+  bool join_fabric(FabricPort& /*port*/, std::uint64_t /*self*/) {
+    return false;
+  }
+  bool deliver_fabric(const CrossShardEntry& /*entry*/) { return false; }
 
  private:
   void schedule_update() {
@@ -706,6 +782,100 @@ class TreeSession {
   std::vector<std::optional<sim::EventId>> false_signal_events_;
 };
 
+/// One shared relay session: a SharedRelayHub plus its fabric identity and
+/// completion-time metrics capture.  Relay sessions arrive at t = 0 (they
+/// predate every subscriber) and complete when the last subscriber's REMOVE
+/// is delivered; their Metrics ride in the same per-session machinery as
+/// everyone else's, at global indices [sessions, sessions + relays).  Like
+/// tree sessions they never recycle.
+class RelaySession {
+ public:
+  static double arrival_time(const SessionFarmOptions& /*options*/,
+                             std::uint64_t /*global_index*/) {
+    return 0.0;
+  }
+
+  /// `params` is the farm's parameter set; the hub reads only its timers
+  /// (every farm params type carries them, so one shard template serves
+  /// all farms -- only single-hop farms ever construct relays).
+  template <typename Params>
+  RelaySession(sim::Simulator& sim, ProtocolKind kind, const Params& params,
+               const SessionFarmOptions& options, std::uint64_t global_index,
+               ShardSink& sink, std::size_t local)
+      : sim_(sim),
+        sink_(sink),
+        local_(local),
+        rng_(replica_seed(options.seed, global_index, 0), rng::kSessionRelay),
+        fabric_ctx_{nullptr, global_index, 0},
+        hub_(sim, rng_, mechanisms(kind),
+             protocols::TimerSettings{options.timer_dist,
+                                      params.refresh_timer,
+                                      params.timeout_timer,
+                                      params.retrans_timer},
+             subscribers_of(options, global_index),
+             [this](std::uint64_t dest, const Message& m) {
+               fabric_ctx_.port->send(fabric_ctx_, dest, m);
+             },
+             [this] { on_complete(); }) {}
+
+  RelaySession(const RelaySession&) = delete;
+  RelaySession& operator=(const RelaySession&) = delete;
+
+  void set_slot(std::uint32_t /*slot*/) noexcept {}
+  [[nodiscard]] bool quiescent() const noexcept { return false; }
+
+  /// Every relay rides the fabric; its port is the owning shard's.
+  bool join_fabric(FabricPort& port, std::uint64_t /*self*/) {
+    fabric_ctx_.port = &port;
+    return true;
+  }
+
+  void begin() { hub_.begin(); }
+
+  /// A subscriber's message; false when the hub drops it (unknown source).
+  bool deliver_fabric(const CrossShardEntry& entry) {
+    return hub_.handle(entry.source, entry.message);
+  }
+
+ private:
+  /// Relay r serves subscribers {r, r + R, r + 2R, ...}: the static
+  /// subscription map both sides derive independently.
+  static std::vector<std::uint64_t> subscribers_of(
+      const SessionFarmOptions& options, std::uint64_t global_index) {
+    const std::uint64_t r = global_index - options.sessions;
+    std::vector<std::uint64_t> subscribers;
+    subscribers.reserve(options.subscribers_per_relay);
+    for (std::size_t k = 0; k < options.subscribers_per_relay; ++k) {
+      subscribers.push_back(r + k * options.shared_relays);
+    }
+    return subscribers;
+  }
+
+  void on_complete() {
+    const double end = sim_.now();
+    const auto sent = static_cast<double>(hub_.messages_sent());
+    Metrics& metrics = sink_.metrics[local_];
+    metrics.inconsistency = hub_.missing_fraction(end);
+    metrics.session_length = end;  // relays live from t = 0
+    metrics.raw_message_rate = end > 0.0 ? sent / end : 0.0;
+    metrics.message_rate = metrics.raw_message_rate;
+    sink_.end[local_] = end;
+    sink_.messages += hub_.messages_sent();
+    sink_.receiver_timeouts += hub_.soft_timeouts();
+    sink_.relay_installs += hub_.installs();
+    sink_.relay_refreshes += hub_.refreshes();
+    sink_.relay_soft_timeouts += hub_.soft_timeouts();
+    ++sink_.completed;
+  }
+
+  sim::Simulator& sim_;
+  ShardSink& sink_;
+  std::size_t local_;
+  sim::Rng rng_;
+  FabricCtx fabric_ctx_;
+  protocols::SharedRelayHub hub_;
+};
+
 /// Everything one shard reports back to the aggregator.
 struct ShardOutcome {
   std::vector<Metrics> per_session;  ///< in global session order
@@ -730,30 +900,8 @@ struct ShardOutcome {
   std::size_t arena_chunks = 0;
 };
 
-/// Moves a completed shard's sink into a ShardOutcome (shared by the base
-/// farm shard and both fabric shard types; call once).
-ShardOutcome drain_sink(ShardSink& sink, const sim::Simulator& sim) {
-  ShardOutcome out;
-  out.per_session = std::move(sink.metrics);
-  out.per_session_churn = std::move(sink.churn);
-  out.arrival = std::move(sink.arrival);
-  out.end = std::move(sink.end);
-  out.messages = sink.messages;
-  out.receiver_timeouts = sink.receiver_timeouts;
-  out.relay_crashes = sink.relay_crashes;
-  out.relay_recoveries = sink.relay_recoveries;
-  out.teardown_messages = sink.teardown_messages;
-  out.relay_installs = sink.relay_installs;
-  out.relay_refreshes = sink.relay_refreshes;
-  out.relay_soft_timeouts = sink.relay_soft_timeouts;
-  out.events = sim.events_executed();
-  out.end_time = sim.now();
-  return out;
-}
-
 /// Reduces completed shard outcomes, in shard (= global session) order,
-/// into a SessionFarmResult.  Shared by the base farm and the fabric farm;
-/// `total_sessions` is only a reserve hint.
+/// into a SessionFarmResult.  `total_sessions` is only a reserve hint.
 SessionFarmResult aggregate_outcomes(std::vector<ShardOutcome>& outcomes,
                                      const SessionFarmOptions& options,
                                      std::size_t total_sessions) {
@@ -812,39 +960,52 @@ SessionFarmResult aggregate_outcomes(std::vector<ShardOutcome>& outcomes,
   return result;
 }
 
-/// Sessions [first, first + count) of the farm: one Simulator, one arena,
-/// one sink.  Construction pre-scans the arrivals; a shard worker then
-/// drives advance_slice() until complete().
+/// One shard of the farm -- sessions [first, first + count) of one session
+/// type -- with its own Simulator, arena and sink.  Construction pre-scans
+/// the arrivals; the run's schedule then drives advance_slice() (ring-free
+/// runs) or advance_to()/drain_incoming() (fabric runs) until complete().
+///
+/// Per-session-type behavior comes from `Session`, never from the shard:
+/// the arrival time (static arrival_time(options, global_index)), whether a
+/// session rides the fabric (join_fabric, called between construction and
+/// begin() in fabric runs only) and what a delivery does (deliver_fabric,
+/// false = dropped).  Every session type also provides the shared
+/// (sim, kind, params, options, global_index, sink, local) constructor,
+/// set_slot(), begin() and the arena's quiescent().  A ring-free shard has
+/// no fabric port and allocates nothing for the fabric.
 template <typename Session, typename Params>
-class Shard {
+class FarmShard {
  public:
-  Shard(ProtocolKind kind, const Params& params,
-        const SessionFarmOptions& options, std::size_t first,
-        std::size_t count)
+  /// `fabric` is null in ring-free runs.
+  FarmShard(ProtocolKind kind, const Params& params,
+            const SessionFarmOptions& options, const ShardMap& map,
+            std::size_t shard, CrossShardFabric* fabric)
       : kind_(kind),
         params_(params),
         options_(options),
-        first_(first),
-        count_(count),
-        arena_(count) {
-    sink_.metrics.resize(count);
-    sink_.churn.resize(count);
-    sink_.arrival.resize(count);
-    sink_.end.resize(count);
-    sink_.retire = [this](std::uint32_t slot) { arena_.retire(slot); };
+        first_(map.first(shard)),
+        count_(map.count(shard)),
+        arena_(count_) {
+    sink_.metrics.resize(count_);
+    sink_.churn.resize(count_);
+    sink_.arrival.resize(count_);
+    sink_.end.resize(count_);
+    sink_.retire = [this](std::uint32_t slot, std::size_t local) {
+      if (!endpoints_.empty()) endpoints_[local] = nullptr;
+      arena_.retire(slot);
+    };
+    if (fabric != nullptr) {
+      port_.emplace(sim_, *fabric, static_cast<std::uint32_t>(shard), map);
+      endpoints_.assign(count_, nullptr);
+    }
     // Arrival pre-scan: push one arrival event per session, in session
-    // order, at the time the session will re-derive for itself at spawn --
-    // the first draw of a fresh kSessionLifecycle stream.  This reproduces
-    // the reference farm's construction-time pushes exactly (same times,
-    // same seq order), which is the base case of the bit-identity argument
-    // in the file comment.
-    const double window =
-        static_cast<double>(options.sessions) / options.arrival_rate;
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto g = static_cast<std::uint64_t>(first + i);
-      sim::Rng lifecycle(replica_seed(options.seed, g, 0),
-                         rng::kSessionLifecycle);
-      const double arrival = window * lifecycle.uniform();
+    // order, at the time the session will re-derive for itself at spawn.
+    // This reproduces the reference farm's construction-time pushes
+    // exactly (same times, same seq order), which is the base case of the
+    // bit-identity argument in the file comment.
+    for (std::size_t i = 0; i < count_; ++i) {
+      const auto g = static_cast<std::uint64_t>(first_ + i);
+      const double arrival = Session::arrival_time(options, g);
       sink_.arrival[i] = arrival;
       sim_.schedule_at(arrival, [this, g, i] { spawn(g, i); });
     }
@@ -854,9 +1015,14 @@ class Shard {
     return sink_.completed >= count_;
   }
 
-  /// Advances one time slice, anchored at the next pending event.  Returns
-  /// as soon as the shard completes mid-slice (undispatched expiries are
-  /// requeued untouched), leaving the clock on the completing event.
+  [[nodiscard]] std::optional<double> next_pending_time() const {
+    return sim_.next_pending_time();
+  }
+
+  /// Ring-free schedule: advances one time slice, anchored at the next
+  /// pending event.  Returns as soon as the shard completes mid-slice
+  /// (undispatched expiries are requeued untouched), leaving the clock on
+  /// the completing event.
   void advance_slice() {
     const std::optional<double> next = sim_.next_pending_time();
     if (!next) {
@@ -865,9 +1031,41 @@ class Shard {
     sim_.run_slice(*next + kSliceSeconds, [this] { return complete(); });
   }
 
+  /// Fabric advance phase: run every event with time <= horizon.  Never
+  /// stops early -- a completed shard keeps executing stragglers so its
+  /// clock tracks the epoch timeline.
+  void advance_to(double horizon) {
+    sim_.run_slice(horizon, [] { return false; });
+  }
+
+  /// Fabric drain phase: collect this shard's incoming rings, stamp-sort,
+  /// and schedule one flush event at the epoch boundary.  The inbox is
+  /// always empty on entry: the previous epoch's flush ran during this
+  /// epoch's advance phase (its boundary <= this epoch's horizon).
+  void drain_incoming(double boundary) {
+    if (port_->drain(inbox_) == 0) return;
+    sort_fabric(inbox_);
+    sim_.schedule_at(boundary, [this] { flush_inbox(); });
+  }
+
   /// Extracts the shard's results (call once, after completion).
   ShardOutcome finish() {
-    ShardOutcome out = drain_sink(sink_, sim_);
+    ShardOutcome out;
+    out.per_session = std::move(sink_.metrics);
+    out.per_session_churn = std::move(sink_.churn);
+    out.arrival = std::move(sink_.arrival);
+    out.end = std::move(sink_.end);
+    out.messages = sink_.messages;
+    out.receiver_timeouts = sink_.receiver_timeouts;
+    out.relay_crashes = sink_.relay_crashes;
+    out.relay_recoveries = sink_.relay_recoveries;
+    out.teardown_messages = sink_.teardown_messages;
+    out.relay_installs = sink_.relay_installs;
+    out.relay_refreshes = sink_.relay_refreshes;
+    out.relay_soft_timeouts = sink_.relay_soft_timeouts;
+    out.fabric_dropped = dropped_;
+    out.events = sim_.events_executed();
+    out.end_time = sim_.now();
     out.arena_high_water = arena_.slot_capacity();
     out.arena_chunks = arena_.chunk_allocations();
     return out;
@@ -878,13 +1076,31 @@ class Shard {
     const auto [slot, session] = arena_.spawn(
         sim_, kind_, params_, options_, global_index, sink_, local);
     session->set_slot(slot);
+    if (port_ && session->join_fabric(*port_, global_index)) {
+      endpoints_[local] = session;
+    }
     session->begin();
+  }
+
+  /// Delivers the epoch's stamp-sorted inbox.  A delivery to a closed
+  /// endpoint (not on the fabric, or already completed) or one the session
+  /// rejects is dropped -- deterministically, since both depend only on the
+  /// epoch timeline.
+  void flush_inbox() {
+    for (const CrossShardEntry& entry : inbox_) {
+      Session* endpoint = endpoints_[static_cast<std::size_t>(entry.dest) -
+                                     first_];
+      if (endpoint == nullptr || !endpoint->deliver_fabric(entry)) {
+        ++dropped_;
+      }
+    }
+    inbox_.clear();
   }
 
   ProtocolKind kind_;
   const Params& params_;
   const SessionFarmOptions& options_;
-  std::size_t first_;
+  std::size_t first_;  ///< global index of local session 0
   std::size_t count_;
   ShardSink sink_;
   sim::Simulator sim_;
@@ -893,67 +1109,55 @@ class Shard {
   // point at destroyed sessions are merely destroyed with the queue, never
   // invoked.
   SessionArena<Session> arena_;
+  // Fabric runs only (empty/null otherwise).
+  std::optional<FabricPort> port_;
+  std::vector<CrossShardEntry> inbox_;
+  /// Live fabric endpoints by local index (nullptr = not on the fabric or
+  /// already completed).
+  std::vector<Session*> endpoints_;
+  std::uint64_t dropped_ = 0;
 };
 
-template <typename Session, typename Params>
-SessionFarmResult run_farm(ProtocolKind kind, const Params& params,
-                           const SessionFarmOptions& options) {
-  validate_options(options);
-  params.validate();
-
-  const std::size_t n = options.sessions;
-  const std::size_t shard_size = std::min(options.shard_size, n);
-  const std::size_t shards = (n + shard_size - 1) / shard_size;
-
-  std::optional<ParallelSweep> local_engine;
-  ParallelSweep* engine = options.engine;
-  if (engine == nullptr) {
-    local_engine.emplace(options.threads);
-    engine = &*local_engine;
+/// Materializes the rings of a fabric run from the static subscription map:
+/// subscriber i talks to relay (i mod R) and back.  The directed shard
+/// pairs are deduplicated first so ensure_ring runs once per ring, not once
+/// per session.
+void wire_fabric(CrossShardFabric& fabric, const ShardMap& map,
+                 const SessionFarmOptions& options) {
+  const std::size_t participating =
+      map.relays * options.subscribers_per_relay;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  pairs.reserve(participating * 2);
+  for (std::size_t i = 0; i < participating; ++i) {
+    const std::uint32_t s = map.shard_of(static_cast<std::uint64_t>(i));
+    const std::uint32_t d = map.shard_of(
+        static_cast<std::uint64_t>(map.sessions + i % map.relays));
+    pairs.emplace_back(s, d);
+    pairs.emplace_back(d, s);
   }
-
-  // Persistent per-core shard workers: worker w owns the strided shard set
-  // {w, w + W, ...}, builds every owned shard up front, and round-robins
-  // one time slice per incomplete shard until all of them finish.
-  // Ownership and slicing cannot affect results: shards are independent
-  // simulators and run_slice preserves exact pop order, so this is the
-  // task-per-shard farm's schedule merely interleaved differently in
-  // wall-clock time.
-  const std::size_t workers =
-      std::max<std::size_t>(1, std::min(engine->threads(), shards));
-  std::vector<ShardOutcome> outcomes(shards);
-  parallel_for(engine->pool(), workers, [&](std::size_t w) {
-    std::vector<std::unique_ptr<Shard<Session, Params>>> owned;
-    for (std::size_t s = w; s < shards; s += workers) {
-      const std::size_t first = s * shard_size;
-      const std::size_t count = std::min(shard_size, n - first);
-      owned.push_back(std::make_unique<Shard<Session, Params>>(
-          kind, params, options, first, count));
-    }
-    bool all_done = false;
-    while (!all_done) {
-      all_done = true;
-      for (auto& shard : owned) {
-        if (shard->complete()) continue;
-        shard->advance_slice();
-        all_done = all_done && shard->complete();
-      }
-    }
-    std::size_t next = 0;
-    for (std::size_t s = w; s < shards; s += workers) {
-      outcomes[s] = owned[next++]->finish();
-    }
-  });
-
-  return aggregate_outcomes(outcomes, options, n);
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  for (const auto& [src, dst] : pairs) fabric.ensure_ring(src, dst);
 }
 
-// ------------------------------------------------------ the fabric farm --
+// ------------------------------------------------------ the two schedules --
 //
-// Shared relays turn independent shards into a communicating system, so the
-// free-running round-robin above no longer preserves determinism: a shard
-// racing ahead could observe (or miss) messages depending on wall-clock
-// scheduling.  The fabric farm instead runs global LOCKSTEP EPOCHS:
+// Every run builds its shards the same way -- worker w owns the strided
+// shard set {w, w + W, ...} -- and reduces them the same way.  Only the
+// schedule in between depends on whether the run has shared relays:
+//
+// Ring-free runs (shared_relays == 0) are FREE-RUNNING: each worker
+// round-robins one kSliceSeconds slice per incomplete owned shard until all
+// of them finish, and each shard stops at its own completion.  Ownership and
+// slicing cannot affect results: shards are independent simulators and
+// run_slice preserves exact pop order, so this is the task-per-shard
+// farm's schedule merely interleaved differently in wall-clock time.  (The
+// per-shard stop rule is why events_executed depends on shard size; the
+// differential suite pins it against the reference farm.)
+//
+// Fabric runs turn independent shards into a communicating system, where a
+// shard racing ahead could observe (or miss) messages depending on
+// wall-clock scheduling.  They instead run global LOCKSTEP EPOCHS:
 //
 //   1. negotiate (serial):  H_k = min over all shards of the earliest
 //      pending event time, plus kFabricSliceSeconds.  The minimum is over
@@ -974,338 +1178,22 @@ SessionFarmResult run_farm(ProtocolKind kind, const Params& params,
 // event scheduled AFTER every event of the slice -- deliveries therefore
 // sort after the destination's own H_k-time events deterministically.
 // Every piece of that discipline is decomposition-invariant, which is the
-// bit-identity argument docs/ARCHITECTURE.md spells out in full.
+// bit-identity argument docs/ARCHITECTURE.md spells out in full.  Every
+// shard runs to the final epoch horizon.
 
-/// Type-erased fabric shard: the epoch loop drives subscriber and relay
-/// shards uniformly through this interface (a handful of virtual calls per
-/// shard per epoch -- noise next to the slice itself).
-class FabricShard {
- public:
-  virtual ~FabricShard() = default;
-  [[nodiscard]] virtual bool complete() const = 0;
-  [[nodiscard]] virtual std::optional<double> next_pending_time() const = 0;
-  virtual void advance_to(double horizon) = 0;
-  virtual void drain_incoming(double boundary) = 0;
-  virtual ShardOutcome finish() = 0;
-};
-
-/// The simulator, fabric port and inbox machinery common to both fabric
-/// shard types.
-class FabricShardBase : public FabricShard {
- public:
-  [[nodiscard]] std::optional<double> next_pending_time() const final {
-    return sim_.next_pending_time();
-  }
-
-  /// Advance phase: run every event with time <= horizon.  Never stops
-  /// early -- a completed shard keeps executing stragglers so its clock
-  /// tracks the epoch timeline.
-  void advance_to(double horizon) final {
-    sim_.run_slice(horizon, [] { return false; });
-  }
-
-  /// Drain phase: collect this shard's incoming rings, stamp-sort, and
-  /// schedule one flush event at the epoch boundary.  The inbox is always
-  /// empty on entry: the previous epoch's flush ran during this epoch's
-  /// advance phase (its boundary <= this epoch's horizon).
-  void drain_incoming(double boundary) final {
-    if (fabric_.drain_into(shard_id_, inbox_) == 0) return;
-    sort_fabric(inbox_);
-    sim_.schedule_at(boundary, [this] { flush_inbox(); });
-  }
-
- protected:
-  FabricShardBase(CrossShardFabric& fabric, std::uint32_t shard_id,
-                  const FabricMap& map)
-      : fabric_(fabric),
-        shard_id_(shard_id),
-        port_(sim_, fabric, shard_id, map) {}
-
-  /// Dispatches one in-order fabric delivery to its destination session.
-  virtual void deliver(const CrossShardEntry& entry) = 0;
-
-  void flush_inbox() {
-    for (const CrossShardEntry& entry : inbox_) deliver(entry);
-    inbox_.clear();
-  }
-
-  sim::Simulator sim_;
-  CrossShardFabric& fabric_;
-  std::uint32_t shard_id_;
-  FabricPort port_;
-  std::vector<CrossShardEntry> inbox_;
-};
-
-/// A subscriber shard of the fabric farm: ordinary single-hop farm sessions
-/// (same arena, same arrival pre-scan, same recycling), the first
-/// relays * subscribers_per_relay of which carry a RelayClient wired to the
-/// shard's fabric port.  An endpoint table, nulled at completion, routes
-/// incoming relay echoes; late echoes are dropped deterministically.
-class SubscriberFabricShard final : public FabricShardBase {
- public:
-  SubscriberFabricShard(ProtocolKind kind, const SingleHopParams& params,
-                        const SessionFarmOptions& options,
-                        const FabricMap& map, CrossShardFabric& fabric,
-                        std::uint32_t shard_id, std::size_t first,
-                        std::size_t count)
-      : FabricShardBase(fabric, shard_id, map),
-        kind_(kind),
-        params_(params),
-        options_(options),
-        first_(first),
-        count_(count),
-        participating_(options.shared_relays * options.subscribers_per_relay),
-        arena_(count),
-        endpoints_(count, nullptr) {
-    sink_.metrics.resize(count);
-    sink_.churn.resize(count);
-    sink_.arrival.resize(count);
-    sink_.end.resize(count);
-    sink_.retire = [this](std::uint32_t slot) { arena_.retire(slot); };
-    sink_.fabric_done = [this](std::size_t local) {
-      endpoints_[local] = nullptr;
-    };
-    const double window =
-        static_cast<double>(options.sessions) / options.arrival_rate;
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto g = static_cast<std::uint64_t>(first + i);
-      sim::Rng lifecycle(replica_seed(options.seed, g, 0),
-                         rng::kSessionLifecycle);
-      const double arrival = window * lifecycle.uniform();
-      sink_.arrival[i] = arrival;
-      sim_.schedule_at(arrival, [this, g, i] { spawn(g, i); });
-    }
-  }
-
-  [[nodiscard]] bool complete() const override {
-    return sink_.completed >= count_;
-  }
-
-  ShardOutcome finish() override {
-    ShardOutcome out = drain_sink(sink_, sim_);
-    out.fabric_dropped = dropped_;
-    out.arena_high_water = arena_.slot_capacity();
-    out.arena_chunks = arena_.chunk_allocations();
-    return out;
-  }
-
- private:
-  void spawn(std::uint64_t global_index, std::size_t local) {
-    const auto [slot, session] = arena_.spawn(
-        sim_, kind_, params_, options_, global_index, sink_, local);
-    session->set_slot(slot);
-    if (global_index < participating_) {
-      const auto relay = static_cast<std::uint64_t>(
-          options_.sessions + global_index % options_.shared_relays);
-      session->attach_relay(&port_, global_index, relay);
-      endpoints_[local] = session;
-    }
-    session->begin();
-  }
-
-  void deliver(const CrossShardEntry& entry) override {
-    const auto local = static_cast<std::size_t>(entry.dest) - first_;
-    SingleHopSession* endpoint = endpoints_[local];
-    if (endpoint == nullptr) {
-      ++dropped_;
-      return;
-    }
-    endpoint->deliver_fabric(entry.message);
-  }
-
-  ProtocolKind kind_;
-  const SingleHopParams& params_;
-  const SessionFarmOptions& options_;
-  std::size_t first_;
-  std::size_t count_;
-  std::size_t participating_;
-  ShardSink sink_;
-  SessionArena<SingleHopSession> arena_;
-  /// Live fabric endpoints by local index (nullptr = not participating or
-  /// already completed).
-  std::vector<SingleHopSession*> endpoints_;
-  std::uint64_t dropped_ = 0;
-};
-
-/// One shared relay session: a SharedRelayHub plus its fabric identity and
-/// completion-time metrics capture.  Relay sessions begin at t = 0 (they
-/// predate every subscriber) and complete when the last subscriber's REMOVE
-/// is delivered; their Metrics ride in the same per-session machinery as
-/// everyone else's, at global indices [sessions, sessions + relays).
-class RelaySession {
- public:
-  RelaySession(sim::Simulator& sim, ProtocolKind kind,
-               const SingleHopParams& params,
-               const SessionFarmOptions& options, std::uint64_t global_index,
-               ShardSink& sink, std::size_t local, FabricPort* port,
-               std::vector<std::uint64_t> subscribers)
-      : sim_(sim),
-        sink_(sink),
-        local_(local),
-        rng_(replica_seed(options.seed, global_index, 0), rng::kSessionRelay),
-        fabric_ctx_{port, global_index, 0},
-        hub_(sim, rng_, mechanisms(kind),
-             protocols::TimerSettings{options.timer_dist,
-                                      params.refresh_timer,
-                                      params.timeout_timer,
-                                      params.retrans_timer},
-             std::move(subscribers),
-             [this](std::uint64_t dest, const Message& m) {
-               fabric_ctx_.port->send(fabric_ctx_, dest, m);
-             },
-             [this] { on_complete(); }) {}
-
-  RelaySession(const RelaySession&) = delete;
-  RelaySession& operator=(const RelaySession&) = delete;
-
-  void begin() { hub_.begin(); }
-
-  void deliver(const CrossShardEntry& entry) {
-    hub_.handle(entry.source, entry.message);
-  }
-
-  [[nodiscard]] const protocols::SharedRelayHub& hub() const noexcept {
-    return hub_;
-  }
-
- private:
-  void on_complete() {
-    const double end = sim_.now();
-    const auto sent = static_cast<double>(hub_.messages_sent());
-    Metrics& metrics = sink_.metrics[local_];
-    metrics.inconsistency = hub_.missing_fraction(end);
-    metrics.session_length = end;  // relays live from t = 0
-    metrics.raw_message_rate = end > 0.0 ? sent / end : 0.0;
-    metrics.message_rate = metrics.raw_message_rate;
-    sink_.end[local_] = end;
-    sink_.messages += hub_.messages_sent();
-    sink_.receiver_timeouts += hub_.soft_timeouts();
-    sink_.relay_installs += hub_.installs();
-    sink_.relay_refreshes += hub_.refreshes();
-    sink_.relay_soft_timeouts += hub_.soft_timeouts();
-    ++sink_.completed;
-  }
-
-  sim::Simulator& sim_;
-  ShardSink& sink_;
-  std::size_t local_;
-  sim::Rng rng_;
-  FabricCtx fabric_ctx_;
-  protocols::SharedRelayHub hub_;
-};
-
-/// A relay shard: RelaySessions for relays [first_relay, first_relay +
-/// count), all spawned at t = 0 and never recycled (a deque holds them --
-/// no arena, no relocation).
-class RelayFabricShard final : public FabricShardBase {
- public:
-  RelayFabricShard(ProtocolKind kind, const SingleHopParams& params,
-                   const SessionFarmOptions& options, const FabricMap& map,
-                   CrossShardFabric& fabric, std::uint32_t shard_id,
-                   std::size_t first_relay, std::size_t count)
-      : FabricShardBase(fabric, shard_id, map),
-        kind_(kind),
-        params_(params),
-        options_(options),
-        first_relay_(first_relay),
-        count_(count) {
-    sink_.metrics.resize(count);
-    sink_.churn.resize(count);
-    sink_.arrival.resize(count);
-    sink_.end.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      sink_.arrival[i] = 0.0;
-      sim_.schedule_at(0.0, [this, i] { spawn(i); });
-    }
-  }
-
-  [[nodiscard]] bool complete() const override {
-    return sink_.completed >= count_;
-  }
-
-  ShardOutcome finish() override {
-    ShardOutcome out = drain_sink(sink_, sim_);
-    for (const RelaySession& relay : relays_) {
-      out.fabric_dropped += relay.hub().unknown_dropped();
-    }
-    return out;
-  }
-
- private:
-  void spawn(std::size_t local) {
-    const std::size_t r = first_relay_ + local;
-    const auto g = static_cast<std::uint64_t>(options_.sessions + r);
-    // Relay r serves subscribers {r, r + R, r + 2R, ...}: the static
-    // subscription map both sides derive independently.
-    std::vector<std::uint64_t> subscribers;
-    subscribers.reserve(options_.subscribers_per_relay);
-    for (std::size_t k = 0; k < options_.subscribers_per_relay; ++k) {
-      subscribers.push_back(
-          static_cast<std::uint64_t>(r + k * options_.shared_relays));
-    }
-    relays_.emplace_back(sim_, kind_, params_, options_, g, sink_, local,
-                         &port_, std::move(subscribers));
-    relays_.back().begin();
-  }
-
-  void deliver(const CrossShardEntry& entry) override {
-    const auto local = static_cast<std::size_t>(entry.dest) -
-                       options_.sessions - first_relay_;
-    relays_[local].deliver(entry);
-  }
-
-  ProtocolKind kind_;
-  const SingleHopParams& params_;
-  const SessionFarmOptions& options_;
-  std::size_t first_relay_;
-  std::size_t count_;
-  ShardSink sink_;
-  /// Spawn events run in local order at t = 0, so relays_[i] is relay i.
-  std::deque<RelaySession> relays_;
-};
-
-SessionFarmResult run_fabric_farm(ProtocolKind kind,
-                                  const SingleHopParams& params,
-                                  const SessionFarmOptions& options) {
+template <typename Session, typename Params>
+SessionFarmResult run_farm(ProtocolKind kind, const Params& params,
+                           const SessionFarmOptions& options) {
   validate_options(options);
   params.validate();
-  if (options.subscribers_per_relay == 0) {
-    throw std::invalid_argument(
-        "SessionFarmOptions: subscribers_per_relay must be > 0 with shared "
-        "relays");
-  }
-  if (options.subscribers_per_relay >
-      options.sessions / options.shared_relays) {
-    throw std::invalid_argument(
-        "SessionFarmOptions: shared_relays * subscribers_per_relay must be "
-        "<= sessions");
-  }
 
-  const std::size_t n = options.sessions;
-  const std::size_t relays = options.shared_relays;
-  const std::size_t shard_size = std::min(options.shard_size, n);
-  const std::size_t sub_shards = (n + shard_size - 1) / shard_size;
-  const std::size_t relay_shards = (relays + shard_size - 1) / shard_size;
-  const std::size_t shards = sub_shards + relay_shards;
-  const FabricMap map{shard_size, n, sub_shards};
-
-  // Materialize the rings from the static subscription map: subscriber i
-  // talks to relay (i mod R) and back.  Deduplicate the directed shard
-  // pairs first so ensure_ring runs once per ring, not once per session.
-  CrossShardFabric fabric(shards);
-  const std::size_t participating = relays * options.subscribers_per_relay;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  pairs.reserve(participating * 2);
-  for (std::size_t i = 0; i < participating; ++i) {
-    const std::uint32_t s = map.shard_of(static_cast<std::uint64_t>(i));
-    const std::uint32_t d =
-        map.shard_of(static_cast<std::uint64_t>(n + i % relays));
-    pairs.emplace_back(s, d);
-    pairs.emplace_back(d, s);
+  const ShardMap map(options);
+  std::optional<CrossShardFabric> fabric;
+  if (map.relays > 0) {
+    fabric.emplace(map.shards);
+    wire_fabric(*fabric, map, options);
   }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  for (const auto& [src, dst] : pairs) fabric.ensure_ring(src, dst);
+  CrossShardFabric* const fabric_ptr = fabric ? &*fabric : nullptr;
 
   std::optional<ParallelSweep> local_engine;
   ParallelSweep* engine = options.engine;
@@ -1313,75 +1201,104 @@ SessionFarmResult run_fabric_farm(ProtocolKind kind,
     local_engine.emplace(options.threads);
     engine = &*local_engine;
   }
+  const std::size_t shards = map.shards;
   const std::size_t workers =
       std::max<std::size_t>(1, std::min(engine->threads(), shards));
 
-  // Build every shard up front (parallel, strided like the base farm).
-  std::vector<std::unique_ptr<FabricShard>> shard_objs(shards);
-  parallel_for(engine->pool(), workers, [&](std::size_t w) {
+  // Farm shards [0, farm_shards), then relay shards.  each_owned(w, f)
+  // calls f(shard, s) on worker w's strided set {w, w + W, ...}, whichever
+  // the shard's session type.
+  std::vector<std::unique_ptr<FarmShard<Session, Params>>> farm(
+      map.farm_shards);
+  std::vector<std::unique_ptr<FarmShard<RelaySession, Params>>> relays(
+      shards - map.farm_shards);
+  const auto each_owned = [&](std::size_t w, const auto& f) {
     for (std::size_t s = w; s < shards; s += workers) {
-      if (s < sub_shards) {
-        const std::size_t first = s * shard_size;
-        const std::size_t count = std::min(shard_size, n - first);
-        shard_objs[s] = std::make_unique<SubscriberFabricShard>(
-            kind, params, options, map, fabric,
-            static_cast<std::uint32_t>(s), first, count);
+      if (s < map.farm_shards) {
+        f(farm[s], s);
       } else {
-        const std::size_t first = (s - sub_shards) * shard_size;
-        const std::size_t count = std::min(shard_size, relays - first);
-        shard_objs[s] = std::make_unique<RelayFabricShard>(
-            kind, params, options, map, fabric,
-            static_cast<std::uint32_t>(s), first, count);
+        f(relays[s - map.farm_shards], s);
       }
     }
+  };
+
+  parallel_for(engine->pool(), workers, [&](std::size_t w) {
+    each_owned(w, [&](auto& shard, std::size_t s) {
+      using Shard =
+          typename std::remove_reference_t<decltype(shard)>::element_type;
+      shard = std::make_unique<Shard>(kind, params, options, map, s,
+                                      fabric_ptr);
+    });
   });
 
-  // The lockstep epoch loop (see the section comment above).  Each
-  // parallel_for join is the phase barrier; the negotiation and completion
-  // check run serially on the calling thread between joins.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // The schedule -- the only part that depends on shared relays (see "the
+  // two schedules" above).
   std::size_t epochs = 0;
-  while (true) {
-    bool all_complete = true;
-    for (const auto& shard : shard_objs) {
-      if (!shard->complete()) {
-        all_complete = false;
-        break;
-      }
-    }
-    if (all_complete) break;
-    double min_next = kInf;
-    for (const auto& shard : shard_objs) {
-      const std::optional<double> next = shard->next_pending_time();
-      if (next && *next < min_next) min_next = *next;
-    }
-    if (min_next == kInf) {
-      throw std::logic_error("session farm: fabric stalled before completing");
-    }
-    const double horizon = min_next + kFabricSliceSeconds;
-    ++epochs;
+  if (!fabric) {
+    // Free-running: one slice per incomplete owned shard per round.
     parallel_for(engine->pool(), workers, [&](std::size_t w) {
-      for (std::size_t s = w; s < shards; s += workers) {
-        shard_objs[s]->advance_to(horizon);
+      bool all_done = false;
+      while (!all_done) {
+        all_done = true;
+        each_owned(w, [&](auto& shard, std::size_t /*s*/) {
+          if (shard->complete()) return;
+          shard->advance_slice();
+          all_done = all_done && shard->complete();
+        });
       }
     });
-    parallel_for(engine->pool(), workers, [&](std::size_t w) {
-      for (std::size_t s = w; s < shards; s += workers) {
-        shard_objs[s]->drain_incoming(horizon);
+  } else {
+    // Lockstep epochs: negotiation and the completion check run serially
+    // on the calling thread; each parallel_for join is a phase barrier.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    while (true) {
+      bool all_complete = true;
+      double min_next = kInf;
+      for (std::size_t w = 0; w < workers; ++w) {
+        each_owned(w, [&](auto& shard, std::size_t /*s*/) {
+          all_complete = all_complete && shard->complete();
+          const std::optional<double> next = shard->next_pending_time();
+          if (next && *next < min_next) min_next = *next;
+        });
       }
-    });
+      if (all_complete) break;
+      if (min_next == kInf) {
+        throw std::logic_error(
+            "session farm: fabric stalled before completing");
+      }
+      const double horizon = min_next + kFabricSliceSeconds;
+      ++epochs;
+      parallel_for(engine->pool(), workers, [&](std::size_t w) {
+        each_owned(w, [&](auto& shard, std::size_t /*s*/) {
+          shard->advance_to(horizon);
+        });
+      });
+      parallel_for(engine->pool(), workers, [&](std::size_t w) {
+        each_owned(w, [&](auto& shard, std::size_t /*s*/) {
+          shard->drain_incoming(horizon);
+        });
+      });
+    }
   }
 
+  // Extract and release every shard before the reduce: the reduce copies
+  // the per-session vectors, and the shards' simulators and arenas need
+  // not outlive their outcomes.
   std::vector<ShardOutcome> outcomes(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    outcomes[s] = shard_objs[s]->finish();
+  parallel_for(engine->pool(), workers, [&](std::size_t w) {
+    each_owned(w, [&](auto& shard, std::size_t s) {
+      outcomes[s] = shard->finish();
+      shard.reset();
+    });
+  });
+  SessionFarmResult result =
+      aggregate_outcomes(outcomes, options, map.sessions + map.relays);
+  if (fabric) {
+    result.relay_sessions = map.relays;
+    result.fabric_messages = fabric->total_pushed();
+    result.fabric_rings = fabric->rings();
+    result.fabric_epochs = epochs;
   }
-  const std::uint64_t fabric_messages = fabric.total_pushed();
-  SessionFarmResult result = aggregate_outcomes(outcomes, options, n + relays);
-  result.relay_sessions = relays;
-  result.fabric_messages = fabric_messages;
-  result.fabric_rings = fabric.rings();
-  result.fabric_epochs = epochs;
   return result;
 }
 
@@ -1402,9 +1319,6 @@ SessionFarmResult run_session_farm(ProtocolKind kind,
     throw std::invalid_argument(
         "run_session_farm: teardown pricing needs tree or chain sessions "
         "(single-hop sessions already end with an explicit remove)");
-  }
-  if (options.shared_relays > 0) {
-    return run_fabric_farm(kind, params, options);
   }
   return run_farm<SingleHopSession>(kind, params, options);
 }

@@ -13,11 +13,15 @@
 //
 // Determinism contract (the ParallelSweep contract, extended): every
 // session's randomness is keyed to its GLOBAL index through
-// replica_seed(seed, session, stream), and sessions never interact, so
-// results are bit-identical at any thread count AND any shard size.  Shards
-// partition [0, N) into fixed consecutive blocks, each simulated in its own
-// Simulator and fanned across the pool; per-session metrics are concatenated
-// back in global session order before summarizing.
+// replica_seed(seed, session, stream), and sessions interact only through
+// the decomposition-invariant shared-relay fabric, so per-session metrics,
+// message and timeout counts, the horizon and every fabric counter are
+// bit-identical at any thread count AND any shard size.  The one exception
+// is SessionFarmResult::events_executed: it is identical across thread
+// counts but depends on the shard size (see the field).  Shards partition
+// [0, N) into fixed consecutive blocks, each simulated in its own Simulator
+// and fanned across the pool; per-session metrics are concatenated back in
+// global session order before summarizing.
 #pragma once
 
 #include <cstddef>
@@ -50,9 +54,9 @@ struct SessionFarmOptions {
   double delay_shape = 1.5;
   /// Sessions per shard (per Simulator).  Shard boundaries are fixed by
   /// this value alone, so results do not depend on the thread count; they
-  /// do not depend on the shard size either (see the file comment), which
-  /// lets the scale bench pit one 100k-session simulator against many
-  /// small ones and get the same numbers.
+  /// do not depend on the shard size either (events_executed aside, see
+  /// the file comment), which lets the scale bench pit one 100k-session
+  /// simulator against many small ones and get the same numbers.
   std::size_t shard_size = 4096;
   /// Worker threads when no engine is passed (0 = hardware concurrency).
   std::size_t threads = 0;
@@ -83,15 +87,17 @@ struct SessionFarmOptions {
   /// a million Metrics back unless asked.
   bool keep_per_session = false;
   /// Shared relay sessions (single-hop farms only).  0 -- the default --
-  /// runs the exact pre-fabric farm code path, bit for bit.  R > 0 adds R
+  /// builds no fabric and runs the free-running schedule, whose results
+  /// the differential suite pins against the reference farm.  R > 0 adds R
   /// relay sessions at global indices [sessions, sessions + R): the first
   /// R * subscribers_per_relay farm sessions each install state through
   /// relay (index mod R) across the cross-shard message ring, with fan-in
   /// at the relay and per-subscriber refresh fan-out back (see
   /// protocols/shared_relay.hpp and docs/ARCHITECTURE.md, "The cross-shard
-  /// fabric").  Results stay element-wise identical across thread counts
-  /// AND shard sizes; the fabric's epoch-batched delivery (latency up to
-  /// one fabric slice) is part of the workload model.
+  /// fabric") and switches the run to lockstep epochs.  Results stay
+  /// element-wise identical across thread counts AND shard sizes; the
+  /// fabric's epoch-batched delivery (latency up to one fabric slice) is
+  /// part of the workload model.
   std::size_t shared_relays = 0;
   /// Subscribers wired to each shared relay.  Requires
   /// shared_relays * subscribers_per_relay <= sessions (every subscriber is
@@ -115,7 +121,12 @@ struct SessionFarmResult {
   std::size_t sessions = 0;  ///< completed sessions (== options.sessions)
   std::size_t shards = 0;
   std::uint64_t messages = 0;  ///< signaling messages across all sessions
-  std::uint64_t events_executed = 0;  ///< simulator events across all shards
+  /// Simulator events across all shards.  Identical across thread counts
+  /// but NOT across shard sizes: a ring-free shard keeps executing its own
+  /// straggler events until its last session completes (so each shard's
+  /// count depends on which sessions share it), and a fabric run adds one
+  /// inbox-flush event per shard per epoch with deliveries.
+  std::uint64_t events_executed = 0;
   std::uint64_t receiver_timeouts = 0;  ///< soft-state timeout expirations
   /// Latest session end time across shards (the simulated horizon).
   double horizon = 0.0;

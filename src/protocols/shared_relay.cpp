@@ -85,11 +85,11 @@ void SharedRelayHub::begin() {
   schedule_fanout();
 }
 
-void SharedRelayHub::handle(std::uint64_t source, const Message& msg) {
+bool SharedRelayHub::handle(std::uint64_t source, const Message& msg) {
   const std::size_t i = index_of(source);
   if (i == kNpos) {
     ++unknown_dropped_;
-    return;
+    return false;
   }
   Sub& sub = subs_[i];
   switch (msg.type) {
@@ -136,8 +136,9 @@ void SharedRelayHub::handle(std::uint64_t source, const Message& msg) {
     default:
       // No other type crosses the fabric toward a hub.
       ++unknown_dropped_;
-      break;
+      return false;
   }
+  return true;
 }
 
 std::uint64_t SharedRelayHub::soft_timeouts() const noexcept {

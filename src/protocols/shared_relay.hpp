@@ -116,8 +116,9 @@ class SharedRelayHub {
 
   /// A fabric message from subscriber `source` (global index).  Unknown
   /// sources are counted and dropped -- the farm never routes one, but the
-  /// hub does not trust its transport.
-  void handle(std::uint64_t source, const Message& msg);
+  /// hub does not trust its transport.  Returns false when the message was
+  /// dropped (counted in unknown_dropped()).
+  bool handle(std::uint64_t source, const Message& msg);
 
   /// True once every subscriber has departed.
   [[nodiscard]] bool complete() const noexcept {

@@ -170,6 +170,50 @@ TEST(SharedRelayFarm, ElementWiseIdenticalAcrossThreadsAndShardSizes) {
   }
 }
 
+TEST(SharedRelayFarm, NonSubscribersMatchTheRelayFreeFarm) {
+  // Both schedules drive a session identically: a session that never
+  // touches the fabric must compute the same Metrics under the lockstep
+  // epochs of a fabric run as under the free-running ring-free schedule,
+  // at the same global index.
+  const SingleHopParams params = SingleHopParams::kazaa_defaults();
+  constexpr std::size_t kSessions = 300;
+  constexpr std::size_t kSubscribers = 4 * 8;
+  for (const ProtocolKind kind : kAllProtocols) {
+    for (const std::size_t shard_size : {7u, 64u, 4096u}) {
+      SessionFarmOptions fabric = relay_farm(kSessions, 4, 8);
+      fabric.threads = 2;
+      fabric.shard_size = shard_size;
+      SessionFarmOptions ring_free = fabric;
+      ring_free.shared_relays = 0;
+      const SessionFarmResult with = run_session_farm(kind, params, fabric);
+      const SessionFarmResult without =
+          run_session_farm(kind, params, ring_free);
+      SCOPED_TRACE(testing::Message() << to_string(kind)
+                                      << " shard_size=" << shard_size);
+      ASSERT_EQ(with.per_session.size(), kSessions + 4);
+      ASSERT_EQ(without.per_session.size(), kSessions);
+      for (std::size_t i = kSubscribers; i < kSessions; ++i) {
+        const Metrics& a = with.per_session[i];
+        const Metrics& b = without.per_session[i];
+        EXPECT_EQ(a.inconsistency, b.inconsistency) << "session " << i;
+        EXPECT_EQ(a.message_rate, b.message_rate) << "session " << i;
+        EXPECT_EQ(a.raw_message_rate, b.raw_message_rate) << "session " << i;
+        EXPECT_EQ(a.session_length, b.session_length) << "session " << i;
+        EXPECT_EQ(a.breakdown.trigger, b.breakdown.trigger)
+            << "session " << i;
+        EXPECT_EQ(a.breakdown.refresh, b.breakdown.refresh)
+            << "session " << i;
+        EXPECT_EQ(a.breakdown.explicit_removal, b.breakdown.explicit_removal)
+            << "session " << i;
+        EXPECT_EQ(a.breakdown.reliable_trigger, b.breakdown.reliable_trigger)
+            << "session " << i;
+        EXPECT_EQ(a.breakdown.reliable_removal, b.breakdown.reliable_removal)
+            << "session " << i;
+      }
+    }
+  }
+}
+
 TEST(SharedRelayFarm, ZeroRelaysLeavesFabricCountersZero) {
   SessionFarmOptions options = relay_farm(60, 0, 16);
   const SessionFarmResult result = run_session_farm(
