@@ -18,13 +18,17 @@
 #include <string>
 #include <vector>
 
+#include "analytic/hetero_multi_hop.hpp"
 #include "analytic/tree_paths.hpp"
 #include "core/params.hpp"
 #include "core/protocol.hpp"
 #include "exp/session_farm.hpp"
 #include "protocols/multi_hop_run.hpp"
+#include "protocols/scenario.hpp"
 #include "protocols/single_hop_run.hpp"
 #include "protocols/tree_run.hpp"
+#include "sim/channel_process.hpp"
+#include "sim/rng.hpp"
 #include "sim/trace.hpp"
 
 namespace sigcomp {
@@ -160,6 +164,42 @@ TEST(GoldenTrace, MultiHopRecordStreamsArePinned) {
   }
 }
 
+TEST(GoldenTrace, HeteroChainRecordStreamsArePinned) {
+  // The heterogeneous run_multi_hop overload off the paper's defaults:
+  // every hop its own loss and delay, the middle hop Gilbert-Elliott
+  // bursty, exponential timers, Pareto delay and a nonzero HS false-signal
+  // rate -- the paths the homogeneous pins above never reach.  As there,
+  // SS+ER and SS+RTR replay SS and SS+RT with no removal in flight.
+  constexpr GoldenEntry kHeteroGolden[] = {
+      {ProtocolKind::kSS, 0x1c27d3f881fde3e1ULL},
+      {ProtocolKind::kSSER, 0x1c27d3f881fde3e1ULL},
+      {ProtocolKind::kSSRT, 0xb2319e19101b8b83ULL},
+      {ProtocolKind::kSSRTR, 0xb2319e19101b8b83ULL},
+      {ProtocolKind::kHS, 0xb9cbef746e5f3baeULL},
+  };
+  analytic::HeteroMultiHopParams params;
+  params.loss = {0.01, 0.05, 0.02};
+  params.delay = {0.02, 0.08, 0.04};
+  params.set_hop_bursty(1, 8.0);
+  params.false_signal_rate = 0.01;
+  for (const GoldenEntry& entry : kHeteroGolden) {
+    sim::TraceLog log(1 << 20);
+    protocols::MultiHopSimOptions options;
+    options.seed = 2024;
+    options.duration = 300.0;
+    options.timer_dist = sim::Distribution::kExponential;
+    options.delay_model = sim::DelayModel::kPareto;
+    options.trace = &log;
+    (void)protocols::run_multi_hop(entry.kind, params, options);
+    EXPECT_LT(log.total_recorded(), log.capacity())
+        << "trace overflowed; the digest would silently cover a suffix only";
+    const std::uint64_t actual = digest_of(log);
+    EXPECT_EQ(actual, entry.digest)
+        << "heterogeneous chain " << to_string(entry.kind)
+        << " trace digest moved; actual " << hex(actual);
+  }
+}
+
 TEST(GoldenTrace, DegenerateTreeReproducesChainDigests) {
   // The tree harness on a fan-out-1 spec must replay the chain harness
   // exactly: same RNG substreams, same wiring order, same trace labels --
@@ -228,6 +268,49 @@ TEST(GoldenTrace, LeafChurnRecordStreamsArePinned) {
     EXPECT_EQ(actual, entry.digest)
         << "leaf-churn " << to_string(entry.kind)
         << " trace digest moved; actual " << hex(actual);
+  }
+}
+
+TEST(GoldenTrace, TreeRunMetricsArePinned) {
+  // Trace digests see only the channels, not the harness's monitors, so
+  // this pins the result bits instead: every per-node and per-leaf-path
+  // inconsistency plus the counters, on a binary depth-3 tree under leaf
+  // churn and interior-relay crashes.
+  constexpr GoldenEntry kTreeMetricGolden[] = {
+      {ProtocolKind::kSS, 0x392bcf07e322be9bULL},
+      {ProtocolKind::kSSER, 0xe81341c3f4bde6feULL},
+      {ProtocolKind::kSSRT, 0x68df806de4e7a83aULL},
+      {ProtocolKind::kSSRTR, 0x7d23fe383d0a9fd1ULL},
+      {ProtocolKind::kHS, 0x5025549271aae875ULL},
+  };
+  const analytic::TreeParams params =
+      analytic::TreeParams::balanced(MultiHopParams{}, 2, 3);
+  for (const GoldenEntry& entry : kTreeMetricGolden) {
+    protocols::TreeSimOptions options;
+    options.seed = 2024;
+    options.duration = 600.0;
+    options.churn.leaf_lifetime = 30.0;
+    options.churn.rejoin_rate = 1.0 / 15.0;
+    options.scenario.failure =
+        protocols::FailureConfig::relay_crash(1.0 / 40.0, 10.0, 5.0);
+    const protocols::TreeSimResult result =
+        protocols::run_tree(entry.kind, params, options);
+    EXPECT_GT(result.churn.leaves, 0u) << to_string(entry.kind);
+    EXPECT_GT(result.relay_crashes, 0u) << to_string(entry.kind);
+    TraceDigest digest;
+    const auto add = [&digest](auto value) {
+      const auto bits = std::bit_cast<std::uint64_t>(value);
+      digest.add_bytes(&bits, sizeof(bits));
+    };
+    add(result.metrics.inconsistency);
+    for (const double v : result.node_inconsistency) add(v);
+    for (const double v : result.leaf_path_inconsistency) add(v);
+    add(result.messages);
+    add(result.relay_timeouts);
+    const std::uint64_t actual = digest.value();
+    EXPECT_EQ(actual, entry.digest)
+        << "tree " << to_string(entry.kind)
+        << " metric digest moved; actual " << hex(actual);
   }
 }
 
