@@ -13,8 +13,9 @@
 // replica), so the sweep is bit-identical at any thread count.  With
 // --quick the binary (a) re-runs the grid at 1, 2 and 8 threads and exits 1
 // on any bit difference, and (b) re-runs the fan-out-1 scenarios through
-// the chain harness (run_multi_hop) and exits 1 unless the tree harness
-// reproduced them bit-for-bit -- the degenerate-tree lock, CI-enforced.
+// the other parameter route into the one chain/tree harness -- MultiHopParams
+// via run_multi_hop instead of TreeParams::balanced with fan-out 1 -- and
+// exits 1 unless both routes agree bit-for-bit (CI-enforced).
 //
 // Usage: fig_tree_fanout [--quick] [--csv PATH] [--threads N]
 #include <algorithm>
@@ -145,8 +146,9 @@ bool identical(const std::vector<protocols::TreeSimResult>& a,
   return true;
 }
 
-/// Re-runs every fan-out-1 (scenario, protocol, replica) job through the
-/// chain harness and demands bit-identical results from the tree harness.
+/// Re-runs every fan-out-1 (scenario, protocol, replica) job as a chain
+/// (MultiHopParams through run_multi_hop) and demands bit-identical results
+/// from the TreeParams::balanced route into the same harness.
 bool degenerate_matches_chain(const std::vector<Scenario>& scenarios,
                               const std::vector<protocols::TreeSimResult>& grid,
                               std::size_t replications, double duration) {
@@ -169,7 +171,8 @@ bool degenerate_matches_chain(const std::vector<Scenario>& scenarios,
             tree_run.messages != chain_run.messages ||
             tree_run.relay_timeouts != chain_run.relay_timeouts ||
             tree_run.node_inconsistency != chain_run.hop_inconsistency) {
-          std::cerr << "FAIL: fan-out-1 tree diverged from the chain harness ("
+          std::cerr << "FAIL: fan-out-1 TreeParams::balanced run diverged "
+                       "from the run_multi_hop chain run ("
                     << scenarios[s].shape() << ' ' << scenarios[s].loss_label()
                     << ' ' << to_string(kPaperMultiHopProtocols[p]) << " replica "
                     << r << ")\n";
@@ -243,8 +246,9 @@ int main(int argc, char** argv) try {
     const bool degenerate_ok =
         degenerate_matches_chain(scenarios, grid, replications, duration);
     std::cout << (degenerate_ok
-                      ? "fan-out-1 tree == chain harness bit-for-bit: OK\n"
-                      : "fan-out-1 tree == chain harness bit-for-bit: FAILED\n");
+                      ? "fan-out-1 tree == run_multi_hop chain bit-for-bit: OK\n"
+                      : "fan-out-1 tree == run_multi_hop chain bit-for-bit: "
+                        "FAILED\n");
     ok = ok && degenerate_ok;
   }
 

@@ -89,6 +89,20 @@ HeteroMultiHopParams TreeParams::path_params(std::size_t leaf) const {
   return out;
 }
 
+TreeParams TreeParams::from_path(const HeteroMultiHopParams& path) {
+  TreeParams out;
+  out.tree = TreeSpec::chain(path.hops());
+  out.loss = path.loss;
+  out.delay = path.delay;
+  out.loss_process = path.loss_process;
+  out.update_rate = path.update_rate;
+  out.refresh_timer = path.refresh_timer;
+  out.timeout_timer = path.timeout_timer;
+  out.retrans_timer = path.retrans_timer;
+  out.false_signal_rate = path.false_signal_rate;
+  return out;
+}
+
 void TreeParams::validate() const {
   tree.validate();
   if (tree.edges() == 0) {
@@ -97,6 +111,12 @@ void TreeParams::validate() const {
   if (loss.size() != tree.edges() || delay.size() != tree.edges()) {
     throw std::invalid_argument(
         "TreeParams: need one loss and one delay per edge");
+  }
+  // Checked here, before any path is built: path_params reads
+  // loss_process[e] for every edge on the path.
+  if (!loss_process.empty() && loss_process.size() != tree.edges()) {
+    throw std::invalid_argument(
+        "TreeParams: loss_process must be empty or have one entry per edge");
   }
   // Delegate the value-domain checks to the chain validation on the
   // deepest path (every edge lies on at least one root-to-leaf path, so

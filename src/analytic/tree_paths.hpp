@@ -78,6 +78,12 @@ struct TreeParams {
   /// (an empty path has no chain model).
   [[nodiscard]] HeteroMultiHopParams path_params(std::size_t leaf) const;
 
+  /// The fan-out-1 tree whose single root-to-leaf path is `path` -- the
+  /// inverse of path_params on a chain: edge i carries hop i's loss, delay
+  /// and loss process.  Throws std::invalid_argument on an empty path;
+  /// values are copied unchecked (validate() checks them).
+  [[nodiscard]] static TreeParams from_path(const HeteroMultiHopParams& path);
+
   /// Throws std::invalid_argument on an invalid tree or per-edge vectors
   /// that do not match it (or values out of domain).
   void validate() const;

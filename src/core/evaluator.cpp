@@ -56,6 +56,15 @@ auto with_engine(exp::ParallelSweep* engine, std::size_t threads, Body&& body) {
   return body(own);
 }
 
+/// Replicas run concurrently, so they cannot share one TraceLog.
+void reject_tracing(const sim::TraceLog* trace) {
+  if (trace != nullptr) {
+    throw std::invalid_argument(
+        "evaluate_grid_simulated: tracing is incompatible with concurrent "
+        "replicas; run single replicas via evaluate_simulated instead");
+  }
+}
+
 template <typename Params>
 std::vector<Metrics> grid_analytic(ProtocolKind kind,
                                    const std::vector<Params>& grid,
@@ -85,11 +94,7 @@ std::vector<Metrics> evaluate_grid_analytic(ProtocolKind kind,
 std::vector<exp::MetricsSummary> evaluate_grid_simulated(
     ProtocolKind kind, const std::vector<SingleHopParams>& grid,
     const SimGridOptions& options) {
-  if (options.sim.trace != nullptr) {
-    throw std::invalid_argument(
-        "evaluate_grid_simulated: tracing is incompatible with concurrent "
-        "replicas; run single replicas via evaluate_simulated instead");
-  }
+  reject_tracing(options.sim.trace);
   const exp::ReplicatedRun replicated(options.replications, options.sim.seed);
   return with_engine(
       options.engine, options.threads, [&](exp::ParallelSweep& sweep) {
@@ -105,6 +110,7 @@ std::vector<exp::MetricsSummary> evaluate_grid_simulated(
 std::vector<exp::MetricsSummary> evaluate_grid_simulated(
     ProtocolKind kind, const std::vector<MultiHopParams>& grid,
     const MultiHopSimGridOptions& options) {
+  reject_tracing(options.sim.trace);
   const exp::ReplicatedRun replicated(options.replications, options.sim.seed);
   return with_engine(
       options.engine, options.threads, [&](exp::ParallelSweep& sweep) {

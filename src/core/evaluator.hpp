@@ -88,7 +88,8 @@ struct SimGridOptions {
     ProtocolKind kind, const std::vector<SingleHopParams>& grid,
     const SimGridOptions& options = {});
 
-/// Replicated simulation of a multi-hop grid.
+/// Replicated simulation of a multi-hop grid; as for the single-hop grid,
+/// `sim.trace` must be null.
 struct MultiHopSimGridOptions {
   protocols::MultiHopSimOptions sim;  ///< per-replica options; seed = base
   std::size_t replications = 10;

@@ -532,7 +532,8 @@ class SingleHopSession {
 /// One tree session: arrival -> start -> updates over a full
 /// protocols::Topology -- one sender, relays at interior nodes, receivers
 /// at the leaves, per-edge channels.  Chain sessions run through this very
-/// class as fan-out-1 trees.  Measured over the lifetime window
+/// class as fan-out-1 trees, just as run_multi_hop runs its chains on the
+/// tree harness.  Measured over the lifetime window
 /// [arrival, arrival + lifetime], then silently torn down with
 /// Topology::stop().
 ///
@@ -1335,7 +1336,7 @@ SessionFarmResult run_session_farm(ProtocolKind kind,
         "run_session_farm: shared relays need single-hop sessions");
   }
   // A chain session IS a fan-out-1 tree session: one session class, one
-  // wiring path (TreeSession's Topology == Chain's, bit for bit).
+  // wiring path, as in the run_multi_hop harness.
   return run_farm<TreeSession>(kind, analytic::TreeParams::chain(params),
                                options);
 }

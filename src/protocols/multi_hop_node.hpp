@@ -224,7 +224,7 @@ class TreeRelay {
   bool crashed_ = false;  ///< deaf and stateless between crash()/recover()
 };
 
-/// Chain-era names: the PR 3 chain nodes are the fan-out-1 special case.
+/// Chain names for the same nodes: a chain is the fan-out-1 tree.
 using ChainSender = TreeSender;
 using ChainRelay = TreeRelay;
 

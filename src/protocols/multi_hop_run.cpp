@@ -1,131 +1,14 @@
 #include "protocols/multi_hop_run.hpp"
 
-#include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <utility>
 
-#include "core/rng_streams.hpp"
-#include "protocols/chain.hpp"
-#include "sim/channel.hpp"
-#include "sim/simulator.hpp"
+#include "analytic/tree_paths.hpp"
+#include "protocols/tree_run.hpp"
 #include "sim/stats.hpp"
 
 namespace sigcomp::protocols {
-
-namespace {
-
-class MultiHopRun {
- public:
-  MultiHopRun(ProtocolKind kind, analytic::HeteroMultiHopParams params,
-              const MultiHopSimOptions& options)
-      : params_(std::move(params)),
-        options_(options),
-        mech_(mechanisms(kind)),
-        rng_channel_(options.seed, rng::kTreeChannel),
-        rng_nodes_(options.seed, rng::kTreeNodes),
-        rng_lifecycle_(options.seed, rng::kTreeLifecycle),
-        rng_failure_(options.seed, rng::kTreeFailure) {
-    params_.validate();
-    if (!supports_multi_hop(kind)) {
-      throw std::invalid_argument("run_multi_hop: unsupported protocol " +
-                                  std::string(to_string(kind)));
-    }
-    const std::size_t k = params_.hops();
-    TimerSettings timers;
-    timers.dist = options.timer_dist;
-    timers.refresh = params_.refresh_timer;
-    timers.timeout = params_.timeout_timer;
-    timers.retrans = params_.retrans_timer;
-
-    // Hop i's forward and reverse directions share the link's loss/delay.
-    std::vector<sim::LossConfig> hop_loss;
-    std::vector<sim::DelayConfig> hop_delay;
-    hop_loss.reserve(k);
-    hop_delay.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      hop_loss.push_back(params_.hop_loss_config(i));
-      hop_delay.push_back(sim::DelayConfig{options.delay_model,
-                                           params_.delay[i],
-                                           options.delay_shape});
-    }
-    chain_ = std::make_unique<Chain>(sim_, rng_channel_, rng_nodes_, mech_,
-                                     timers, hop_loss, hop_delay,
-                                     [this] { on_change(); }, options_.trace);
-
-    inconsistent_hops_.assign(k, sim::TimeWeightedValue{});
-  }
-
-  MultiHopSimResult run() {
-    chain_->sender().start(++version_);
-    schedule_update();
-    if (mech_.external_failure_detector && params_.false_signal_rate > 0.0) {
-      for (std::size_t i = 0; i < params_.hops(); ++i) schedule_false_signal(i);
-    }
-    sim_.run_until(options_.duration);
-
-    MultiHopSimResult out;
-    out.duration = options_.duration;
-    out.messages = chain_->messages_sent();
-    out.relay_timeouts = chain_->relay_timeouts();
-    for (std::size_t i = 0; i < params_.hops(); ++i) {
-      out.hop_inconsistency.push_back(
-          inconsistent_hops_[i].mean(options_.duration));
-    }
-    out.metrics.inconsistency = any_inconsistent_.mean(options_.duration);
-    out.metrics.raw_message_rate =
-        static_cast<double>(out.messages) / options_.duration;
-    out.metrics.message_rate = out.metrics.raw_message_rate;
-    return out;
-  }
-
- private:
-  void schedule_update() {
-    if (params_.update_rate <= 0.0) return;
-    sim_.schedule_in(rng_lifecycle_.exponential(1.0 / params_.update_rate),
-                     [this] {
-                       chain_->sender().update(++version_);
-                       schedule_update();
-                     });
-  }
-
-  void schedule_false_signal(std::size_t relay) {
-    sim_.schedule_in(
-        rng_failure_.exponential(1.0 / params_.false_signal_rate),
-        [this, relay] {
-          chain_->relay(relay).external_removal_signal();
-          schedule_false_signal(relay);
-        });
-  }
-
-  void on_change() {
-    bool all_ok = true;
-    for (std::size_t i = 0; i < chain_->hops(); ++i) {
-      const bool ok = chain_->relay(i).value() == chain_->sender().value();
-      inconsistent_hops_[i].set(sim_.now(), ok ? 0.0 : 1.0);
-      all_ok = all_ok && ok;
-    }
-    any_inconsistent_.set(sim_.now(), all_ok ? 0.0 : 1.0);
-  }
-
-  analytic::HeteroMultiHopParams params_;
-  MultiHopSimOptions options_;
-  MechanismSet mech_;
-
-  sim::Simulator sim_;
-  sim::Rng rng_channel_;
-  sim::Rng rng_nodes_;
-  sim::Rng rng_lifecycle_;
-  sim::Rng rng_failure_;
-  std::unique_ptr<Chain> chain_;
-
-  std::vector<sim::TimeWeightedValue> inconsistent_hops_;
-  sim::TimeWeightedValue any_inconsistent_;
-  std::int64_t version_ = 0;
-};
-
-}  // namespace
 
 MultiHopSimResult run_multi_hop(ProtocolKind kind, const MultiHopParams& params,
                                 const MultiHopSimOptions& options) {
@@ -138,11 +21,33 @@ MultiHopSimResult run_multi_hop(ProtocolKind kind, const MultiHopParams& params,
 MultiHopSimResult run_multi_hop(ProtocolKind kind,
                                 const analytic::HeteroMultiHopParams& params,
                                 const MultiHopSimOptions& options) {
+  // The chain runs on the tree harness as the fan-out-1 tree.  These checks
+  // come first only so the errors name run_multi_hop and the hop vectors.
   if (options.duration <= 0.0) {
     throw std::invalid_argument("run_multi_hop: duration must be > 0");
   }
-  MultiHopRun run(kind, params, options);
-  return run.run();
+  params.validate();
+  if (!supports_multi_hop(kind)) {
+    throw std::invalid_argument("run_multi_hop: unsupported protocol " +
+                                std::string(to_string(kind)));
+  }
+  TreeSimOptions tree_options;
+  tree_options.seed = options.seed;
+  tree_options.duration = options.duration;
+  tree_options.timer_dist = options.timer_dist;
+  tree_options.delay_model = options.delay_model;
+  tree_options.delay_shape = options.delay_shape;
+  tree_options.trace = options.trace;
+  TreeSimResult tree = run_tree(
+      kind, analytic::TreeParams::from_path(params), tree_options);
+
+  MultiHopSimResult out;
+  out.metrics = tree.metrics;
+  out.hop_inconsistency = std::move(tree.node_inconsistency);
+  out.messages = tree.messages;
+  out.duration = tree.duration;
+  out.relay_timeouts = tree.relay_timeouts;
+  return out;
 }
 
 MultiHopReplicatedResult run_multi_hop_replicated(

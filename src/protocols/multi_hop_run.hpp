@@ -1,6 +1,7 @@
-// Multi-hop simulation harness: a sender plus K relays connected by lossy
-// per-hop channels, running SS, SS+RT or HS, measured against the multi-hop
-// analytic model (Figs. 17-19).
+// Multi-hop chain simulation: a sender plus K relays connected by lossy
+// per-hop channels, measured against the multi-hop analytic model
+// (Figs. 17-19).  The chain is the fan-out-1 tree, so run_multi_hop adapts
+// its parameters and runs the tree harness (protocols/tree_run.hpp).
 #pragma once
 
 #include <cstdint>
@@ -47,7 +48,7 @@ struct MultiHopSimResult {
 };
 
 /// Runs one multi-hop replication.  Throws std::invalid_argument on bad
-/// parameters or a protocol outside {SS, SS+RT, HS}.
+/// parameters or a protocol supports_multi_hop rejects.
 [[nodiscard]] MultiHopSimResult run_multi_hop(ProtocolKind kind,
                                               const MultiHopParams& params,
                                               const MultiHopSimOptions& options);

@@ -1,7 +1,9 @@
 #include "protocols/tree_run.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -16,9 +18,8 @@ namespace sigcomp::protocols {
 
 namespace {
 
-/// Mirrors MultiHopRun stream-for-stream and event-for-event, so a
-/// fan-out-1 tree replays the chain harness exactly (same RNG substreams,
-/// same scheduling order, same trace stream).
+/// The one chain/tree harness: run_multi_hop runs its chain here as the
+/// fan-out-1 tree, so the chain golden traces pin this class too.
 class TreeRun {
  public:
   TreeRun(ProtocolKind kind, analytic::TreeParams params,
@@ -79,19 +80,9 @@ class TreeRun {
     }
 
     inconsistent_nodes_.assign(e_count, sim::TimeWeightedValue{});
-    node_ok_.assign(e_count, 0);
-    // Per-leaf path monitors: relay indices (node id - 1) on each root-to-
-    // leaf path, resolved once.
-    for (const std::size_t leaf : params_.tree.leaves()) {
-      const std::vector<std::size_t> path = params_.tree.path_edges(leaf);
-      std::vector<std::size_t> relays;
-      relays.reserve(path.size());
-      for (const std::size_t e : path) {
-        relays.push_back(e);  // edge e's child endpoint is relay e
-      }
-      leaf_paths_.push_back(std::move(relays));
-    }
-    inconsistent_paths_.assign(leaf_paths_.size(), sim::TimeWeightedValue{});
+    path_ok_.assign(params_.tree.nodes(), 1);  // the root is always ok
+    leaves_ = params_.tree.leaves();
+    inconsistent_paths_.assign(leaves_.size(), sim::TimeWeightedValue{});
   }
 
   TreeSimResult run() {
@@ -116,7 +107,7 @@ class TreeRun {
       out.node_inconsistency.push_back(
           inconsistent_nodes_[i].mean(options_.duration));
     }
-    for (std::size_t p = 0; p < leaf_paths_.size(); ++p) {
+    for (std::size_t p = 0; p < leaves_.size(); ++p) {
       out.leaf_path_inconsistency.push_back(
           inconsistent_paths_[p].mean(options_.duration));
     }
@@ -153,29 +144,46 @@ class TreeRun {
 
   void on_change() {
     if (membership_) membership_->on_state_change();
-    // node_ok_ is a member buffer: this callback fires on every state
-    // change at every node, so it must not allocate.
+    // This callback fires on every state change at every node, so it must
+    // not allocate: path_ok_ is a member buffer.
+    const double now = sim_.now();
+    const Topology& topology = *topology_;
+    const std::optional<std::int64_t> root = topology.sender().value();
     bool all_ok = true;
-    for (std::size_t i = 0; i < topology_->relays(); ++i) {
+    for (std::size_t i = 0; i < topology.relays(); ++i) {
       // A required node (on the path to a joined leaf) must mirror the
       // sender; a detached node must hold nothing.  With churn disabled
       // every node is required, which is the historical definition.
-      const bool ok = topology_->node_required(i + 1)
-                          ? topology_->relay(i).value() ==
-                                topology_->sender().value()
-                          : !topology_->relay(i).value().has_value();
-      node_ok_[i] = ok ? 1 : 0;
-      inconsistent_nodes_[i].set(sim_.now(), ok ? 0.0 : 1.0);
+      const std::optional<std::int64_t> held = topology.relay(i).value();
+      const bool ok =
+          topology.node_required(i + 1) ? held == root : !held.has_value();
+      path_ok_[i + 1] = ok ? 1 : 0;  // relay i is node i+1
+      sample(inconsistent_nodes_[i], now, !ok);
       all_ok = all_ok && ok;
     }
-    any_inconsistent_.set(sim_.now(), all_ok ? 0.0 : 1.0);
-    for (std::size_t p = 0; p < leaf_paths_.size(); ++p) {
-      bool path_ok = true;
-      for (const std::size_t relay : leaf_paths_[p]) {
-        path_ok = path_ok && node_ok_[relay] != 0;
+    sample(any_inconsistent_, now, !all_ok);
+    if (!all_ok) {
+      // One root-first pass turns node flags into path flags:
+      // path_ok[n] = path_ok[parent(n)] & ok(n).  TreeSpec orders every
+      // parent before its children (parent[i] <= i), so node i+1's parent
+      // is final by the time it is read.  When every node is ok, every
+      // path is too and the flags are already right.
+      const std::vector<std::size_t>& parent = params_.tree.parent;
+      for (std::size_t i = 0; i < parent.size(); ++i) {
+        path_ok_[i + 1] &= path_ok_[parent[i]];
       }
-      inconsistent_paths_[p].set(sim_.now(), path_ok ? 0.0 : 1.0);
     }
+    for (std::size_t p = 0; p < leaves_.size(); ++p) {
+      sample(inconsistent_paths_[p], now, path_ok_[leaves_[p]] == 0);
+    }
+  }
+
+  /// Records a 0/1 inconsistency indicator.  Integrating 0 over any
+  /// interval adds exactly +0.0, so an indicator that is 0 and stays 0
+  /// needs no sample: skipping it leaves every bit of its mean unchanged,
+  /// and most nodes are consistent most of the time.
+  static void sample(sim::TimeWeightedValue& indicator, double now, bool bad) {
+    if (bad || indicator.value() != 0.0) indicator.set(now, bad ? 1.0 : 0.0);
   }
 
   analytic::TreeParams params_;
@@ -195,8 +203,10 @@ class TreeRun {
   std::unique_ptr<RelayFailureProcess> failure_;
 
   std::vector<sim::TimeWeightedValue> inconsistent_nodes_;
-  std::vector<char> node_ok_;  ///< scratch for on_change (no per-event alloc)
-  std::vector<std::vector<std::size_t>> leaf_paths_;  ///< relay ids per leaf
+  /// Per node: every node on its root path is ok (on_change scratch;
+  /// entry 0, the root, is always 1).
+  std::vector<char> path_ok_;
+  std::vector<std::size_t> leaves_;  ///< leaf node ids, increasing
   std::vector<sim::TimeWeightedValue> inconsistent_paths_;
   sim::TimeWeightedValue any_inconsistent_;
   std::int64_t version_ = 0;

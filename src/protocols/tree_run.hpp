@@ -1,8 +1,8 @@
 // Tree simulation harness: a sender at the root plus relays on every other
 // node, connected by lossy per-edge channels, running any of the five
 // protocols, measured against the per-path analytic composition
-// (analytic/tree_paths.hpp).  On a fan-out-1 spec this reproduces the
-// multi-hop chain harness bit-for-bit (the golden-trace tests pin it).
+// (analytic/tree_paths.hpp).  It is also the chain harness: run_multi_hop
+// (protocols/multi_hop_run.hpp) runs its chain here as a fan-out-1 tree.
 // With churn enabled (TreeSimOptions::churn) leaves join and leave the
 // live tree IGMP-style and the result carries per-join setup latency and
 // per-leave orphan windows.
@@ -24,7 +24,8 @@
 
 namespace sigcomp::protocols {
 
-/// Execution options of one tree simulation (mirrors MultiHopSimOptions).
+/// Execution options of one tree simulation (a superset of
+/// MultiHopSimOptions).
 struct TreeSimOptions {
   std::uint64_t seed = 1;     ///< base seed of the run's RNG streams
   double duration = 50000.0;  ///< simulated seconds

@@ -582,7 +582,7 @@ SessionFarmResult run_reference_session_farm(ProtocolKind kind,
         "run_reference_session_farm: unsupported multi-hop protocol");
   }
   // A chain session IS a fan-out-1 tree session: one session class, one
-  // wiring path (TreeSession's Topology == Chain's, bit for bit).
+  // wiring path (the chain is TreeSpec::chain, bit for bit).
   return run_farm<TreeSession>(kind, analytic::TreeParams::chain(params),
                                options);
 }

@@ -226,6 +226,12 @@ TEST(ParallelSweep, SimulatedGridRejectsTracing) {
   EXPECT_THROW(
       (void)evaluate_grid_simulated(ProtocolKind::kSS, loss_grid(2), options),
       std::invalid_argument);
+  MultiHopSimGridOptions multi_hop;
+  multi_hop.sim.trace = &trace;
+  EXPECT_THROW((void)evaluate_grid_simulated(
+                   ProtocolKind::kSS,
+                   std::vector<MultiHopParams>(2, MultiHopParams{}), multi_hop),
+               std::invalid_argument);
 }
 
 TEST(SummarizeReplicas, MatchesHandComputedStatistics) {

@@ -20,6 +20,7 @@
 #include "exp/session_farm.hpp"
 #include "protocols/multi_hop_run.hpp"
 #include "protocols/tree_run.hpp"
+#include "sim/channel_process.hpp"
 #include "sim/simulator.hpp"
 
 namespace sigcomp {
@@ -97,6 +98,30 @@ TEST(TreeParams, ChainPathParamsMatchHomogeneousChain) {
   EXPECT_EQ(path.false_signal_rate, expected.false_signal_rate);
 }
 
+TEST(TreeParams, FromPathInvertsPathParams) {
+  analytic::HeteroMultiHopParams hops;
+  hops.loss = {0.01, 0.05, 0.02};
+  hops.delay = {0.02, 0.08, 0.04};
+  hops.set_hop_bursty(1, 8.0);
+  hops.update_rate = 0.1;
+  hops.false_signal_rate = 0.01;
+  const analytic::TreeParams tree = analytic::TreeParams::from_path(hops);
+  EXPECT_EQ(tree.tree, TreeSpec::chain(3));
+  tree.validate();
+  const analytic::HeteroMultiHopParams back = tree.path_params(3);
+  EXPECT_EQ(back.loss, hops.loss);
+  EXPECT_EQ(back.delay, hops.delay);
+  ASSERT_EQ(back.loss_process.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(back.loss_process[i], hops.loss_process[i]) << i;
+  }
+  EXPECT_EQ(back.update_rate, hops.update_rate);
+  EXPECT_EQ(back.refresh_timer, hops.refresh_timer);
+  EXPECT_EQ(back.timeout_timer, hops.timeout_timer);
+  EXPECT_EQ(back.retrans_timer, hops.retrans_timer);
+  EXPECT_EQ(back.false_signal_rate, hops.false_signal_rate);
+}
+
 TEST(TreeParams, PathModelEqualsChainModelOnDegenerateTree) {
   MultiHopParams base;
   base.hops = 3;
@@ -140,6 +165,14 @@ TEST(TreeParams, ValidateRejectsMismatchedVectors) {
       analytic::TreeParams::balanced(MultiHopParams{}, 2, 1);
   tree.loss.pop_back();
   EXPECT_THROW(tree.validate(), std::invalid_argument);
+  // A loss_process of the wrong size is rejected before any path is built:
+  // path_params would read a short one out of bounds.
+  for (const std::size_t size : {std::size_t{1}, std::size_t{3}}) {
+    analytic::TreeParams sized =
+        analytic::TreeParams::balanced(MultiHopParams{}, 2, 1);
+    sized.loss_process.assign(size, sim::LossConfig::iid(0.02));
+    EXPECT_THROW(sized.validate(), std::invalid_argument) << size;
+  }
 }
 
 // ---------------------------------------------------------------- run_tree --
