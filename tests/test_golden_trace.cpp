@@ -379,6 +379,61 @@ TEST(GoldenTrace, TreeFarmMetricStreamIsPinned) {
       << "tree farm metric digest moved; actual " << hex(actual);
 }
 
+TEST(GoldenTrace, TreeTeardownFarmMetricStreamIsPinned) {
+  // The explicit-teardown window end, which the reference farm does not
+  // model: each session's sender removes its state at lifetime end and the
+  // session finalizes one timeout later, so the digest covers the teardown
+  // traffic priced into every session, and the counters lock the grace
+  // period's events, leaf churn and relay crashes frozen at window end.
+  struct TeardownGolden {
+    ProtocolKind kind;
+    std::uint64_t digest;
+    std::uint64_t teardown_messages;
+    std::uint64_t relay_crashes;
+    std::uint64_t relay_recoveries;
+    std::uint64_t joins;
+    std::uint64_t leaves;
+    std::uint64_t events;
+  };
+  constexpr TeardownGolden kTeardownGolden[] = {
+      {ProtocolKind::kSS, 0x01e7c9400ae15293ULL, 1, 95, 81, 390, 501, 3610},
+      {ProtocolKind::kSSER, 0x525b801b1f5a4c99ULL, 208, 95, 81, 390, 501,
+       4111},
+      {ProtocolKind::kSSRT, 0x22eca97478f27ef5ULL, 348, 95, 81, 390, 501,
+       6660},
+      {ProtocolKind::kSSRTR, 0xba4ff684030957c9ULL, 1588, 95, 81, 390, 501,
+       10922},
+      {ProtocolKind::kHS, 0xa5e3369d26245ea5ULL, 1944, 95, 77, 390, 501,
+       11343},
+  };
+  MultiHopParams base;
+  base.hops = 2;
+  const analytic::TreeParams tree = analytic::TreeParams::balanced(base, 2, 2);
+  exp::SessionFarmOptions options = farm_pin_options();
+  options.teardown = true;
+  options.leaf_churn.leaf_lifetime = 5.0;
+  options.leaf_churn.rejoin_rate = 1.0 / 5.0;
+  options.scenario.failure =
+      protocols::FailureConfig::relay_crash(1.0 / 10.0, 4.0, 2.0);
+  for (const TeardownGolden& entry : kTeardownGolden) {
+    const exp::SessionFarmResult result =
+        exp::run_session_farm(entry.kind, tree, options);
+    const std::uint64_t actual = farm_digest_of(result.per_session);
+    EXPECT_EQ(actual, entry.digest)
+        << "teardown tree farm " << to_string(entry.kind)
+        << " metric digest moved; actual " << hex(actual);
+    EXPECT_EQ(result.teardown_messages, entry.teardown_messages)
+        << to_string(entry.kind);
+    EXPECT_EQ(result.relay_crashes, entry.relay_crashes)
+        << to_string(entry.kind);
+    EXPECT_EQ(result.relay_recoveries, entry.relay_recoveries)
+        << to_string(entry.kind);
+    EXPECT_EQ(result.churn.joins, entry.joins) << to_string(entry.kind);
+    EXPECT_EQ(result.churn.leaves, entry.leaves) << to_string(entry.kind);
+    EXPECT_EQ(result.events_executed, entry.events) << to_string(entry.kind);
+  }
+}
+
 TEST(GoldenTrace, SharedRelayFarmMetricStreamIsPinned) {
   // The lockstep-epoch schedule pinned end to end: besides the per-session
   // metrics, the event count and horizon lock the epoch timeline and the
