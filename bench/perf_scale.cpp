@@ -55,8 +55,9 @@
 #include "exp/shard_ring.hpp"
 #include "exp/table.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/reference_event_queue.hpp"
 #include "sim/rng.hpp"
+// The test-only reference queue, for the reference_ops column.
+#include "../tests/reference_event_queue.hpp"
 
 namespace {
 

@@ -18,11 +18,13 @@
 //    mirrors the harness stream-for-stream.  kSessionMembership is consumed
 //    only by churn-enabled tree sessions but is reserved in the shared
 //    layout so enabling churn never shifts the other five streams.
-//  * Tree/chain harness layout (streams 100-106): used by the one tree
-//    harness (protocols/tree_run.cpp), which also runs every chain
-//    (protocols/multi_hop_run.cpp) as a fan-out-1 tree.  kTreeMembership is
-//    the dedicated leaf-churn substream (tree harness only), so a
-//    zero-churn run replays the static tree exactly.
+//  * Tree/chain harness layout (streams 100-106): the seven
+//    protocols::TreeStreams of the one tree harness (protocols/tree_run.cpp),
+//    which also runs every chain (protocols/multi_hop_run.cpp) as a
+//    fan-out-1 tree.  Farm tree sessions fill the same seven streams from
+//    the session layout instead (kSessionSender drives the node timers).
+//    kTreeMembership is the dedicated leaf-churn substream, so a zero-churn
+//    run replays the static tree exactly.
 #pragma once
 
 #include <cstddef>
@@ -46,11 +48,12 @@ inline constexpr std::uint64_t kSessionFailure = 4;
 /// Per-leaf membership churn timers (farm tree sessions only; reserved in
 /// the shared layout so enabling churn never shifts streams 0-4).
 inline constexpr std::uint64_t kSessionMembership = 5;
-/// Scenario arrival modulation (flash-crowd / diurnal rejoin rates) for
-/// farm tree sessions; reserved so enabling a scenario never shifts 0-5.
+/// Scenario membership processes (flash-crowd / diurnal rejoin rates and
+/// shared-risk leave bursts) for farm tree sessions; reserved so enabling a
+/// scenario never shifts 0-5.
 inline constexpr std::uint64_t kSessionScenarioArrival = 6;
-/// Scenario failure process (interior-relay crash/recovery/detection and
-/// shared-risk leave bursts) for farm tree sessions.
+/// Scenario failure process (interior-relay crash/recovery/detection) for
+/// farm tree sessions.
 inline constexpr std::uint64_t kSessionScenarioFailure = 7;
 /// Shared-relay client timers (install/refresh jitter toward the shared
 /// relay) for farm sessions subscribed to a cross-shard relay.  Reserved in
@@ -71,10 +74,10 @@ inline constexpr std::uint64_t kTreeLifecycle = 102;
 inline constexpr std::uint64_t kTreeFailure = 103;
 /// Leaf join/leave churn timers (MembershipController).
 inline constexpr std::uint64_t kTreeMembership = 104;
-/// Scenario arrival modulation (flash-crowd / diurnal rejoin rates).
-inline constexpr std::uint64_t kTreeScenarioArrival = 105;
-/// Scenario failure process (interior-relay crash/recovery/detection and
+/// Scenario membership processes (flash-crowd / diurnal rejoin rates and
 /// shared-risk leave bursts).
+inline constexpr std::uint64_t kTreeScenarioArrival = 105;
+/// Scenario failure process (interior-relay crash/recovery/detection).
 inline constexpr std::uint64_t kTreeScenarioFailure = 106;
 
 namespace detail {

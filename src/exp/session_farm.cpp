@@ -62,7 +62,7 @@
 #include "exp/thread_pool.hpp"
 #include "protocols/engine.hpp"
 #include "protocols/shared_relay.hpp"
-#include "protocols/topology.hpp"
+#include "protocols/tree_run.hpp"
 #include "sim/channel.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -220,10 +220,15 @@ class FabricPort {
 /// Completion-time recording replaces the reference farm's
 /// read-the-session-at-shard-end extraction: recycled sessions are
 /// destroyed long before the shard finishes, so everything a session will
-/// ever report is captured the moment it completes.
+/// ever report is captured the moment it completes.  FarmShard::finish()
+/// adds the shard's own counters and moves the sink out as the shard's
+/// outcome.
 struct ShardSink {
-  std::vector<Metrics> metrics;              ///< per local index
-  std::vector<protocols::ChurnReport> churn;  ///< per local index
+  std::vector<Metrics> metrics;  ///< per local index (= global order)
+  /// Per local index.  Summed by the aggregator in global session order,
+  /// so the reduced report cannot depend on the shard decomposition
+  /// (floating-point addition is order-sensitive).
+  std::vector<protocols::ChurnReport> churn;
   std::vector<double> arrival;  ///< begin times, filled by the pre-scan
   std::vector<double> end;      ///< completion times, filled on completion
   std::uint64_t messages = 0;
@@ -234,7 +239,13 @@ struct ShardSink {
   std::uint64_t relay_installs = 0;     ///< hub installs (relay shards)
   std::uint64_t relay_refreshes = 0;    ///< hub refreshes (relay shards)
   std::uint64_t relay_soft_timeouts = 0;  ///< hub slot expiries
+  std::uint64_t fabric_dropped = 0;  ///< deliveries to closed endpoints
   std::size_t completed = 0;
+  // Filled by FarmShard::finish().
+  std::uint64_t events = 0;       ///< the shard simulator's events
+  double end_time = 0.0;          ///< the shard simulator's final clock
+  std::size_t arena_high_water = 0;
+  std::size_t arena_chunks = 0;
   /// Hands a completed session (arena slot, local index) back to the
   /// shard: the slot goes to the arena's cooling list and, in fabric runs,
   /// the session's fabric endpoint closes so late deliveries are dropped
@@ -243,22 +254,26 @@ struct ShardSink {
   std::function<void(std::uint32_t, std::size_t)> retire;
 };
 
-/// Per-session randomness: eight independent streams keyed to the session's
-/// global index, mirroring the stream layout of the single-hop harness
-/// (the membership and scenario streams are consumed only by tree sessions
-/// that enable the corresponding workload).
-/// The stream IDs come from the registry in core/rng_streams.hpp -- the
-/// farm layout and the single-hop harness layout are the SAME constants,
-/// which is what makes the mirroring self-evident.
+/// The per-session seed family: replica_seed keyed to the session's global
+/// index (replica lane 0 -- the substream split happens in sim::Rng's
+/// stream argument, not here).  The stream IDs come from the registry in
+/// core/rng_streams.hpp -- the farm layout and the single-hop harness
+/// layout are the SAME constants, which is what makes the mirroring
+/// self-evident.
+std::uint64_t session_seed(std::uint64_t base_seed,
+                           std::uint64_t global_index) {
+  return replica_seed(base_seed, global_index, 0);
+}
+
+/// A single-hop session's randomness: six independent streams keyed to the
+/// session's global index, mirroring the stream layout of the single-hop
+/// harness (the relay stream is consumed only by fabric subscribers).
 struct SessionRngs {
   sim::Rng channel;
   sim::Rng sender;
   sim::Rng receiver;
   sim::Rng lifecycle;
   sim::Rng failure;
-  sim::Rng membership;
-  sim::Rng scenario_arrival;
-  sim::Rng scenario_failure;
   sim::Rng relay;
 
   SessionRngs(std::uint64_t base_seed, std::uint64_t global_index)
@@ -268,23 +283,25 @@ struct SessionRngs {
         lifecycle(session_seed(base_seed, global_index),
                   rng::kSessionLifecycle),
         failure(session_seed(base_seed, global_index), rng::kSessionFailure),
-        membership(session_seed(base_seed, global_index),
-                   rng::kSessionMembership),
-        scenario_arrival(session_seed(base_seed, global_index),
-                         rng::kSessionScenarioArrival),
-        scenario_failure(session_seed(base_seed, global_index),
-                         rng::kSessionScenarioFailure),
         relay(session_seed(base_seed, global_index), rng::kSessionRelay) {}
-
- private:
-  /// The per-session seed family: replica_seed keyed to the session's
-  /// global index (replica lane 0 -- the substream split happens in
-  /// sim::Rng's stream argument, not here).
-  static std::uint64_t session_seed(std::uint64_t base_seed,
-                                    std::uint64_t global_index) {
-    return replica_seed(base_seed, global_index, 0);
-  }
 };
+
+/// A tree session's seven streams, keyed to its global index.  The sender
+/// stream drives every node's timers, as it drives the single-hop sender's;
+/// the membership and scenario streams are touched only by sessions that
+/// enable the corresponding workload.
+protocols::TreeStreams tree_streams(std::uint64_t base_seed,
+                                    std::uint64_t global_index) {
+  const std::uint64_t seed = session_seed(base_seed, global_index);
+  return protocols::TreeStreams{
+      sim::Rng(seed, rng::kSessionChannel),
+      sim::Rng(seed, rng::kSessionSender),
+      sim::Rng(seed, rng::kSessionLifecycle),
+      sim::Rng(seed, rng::kSessionFailure),
+      sim::Rng(seed, rng::kSessionMembership),
+      sim::Rng(seed, rng::kSessionScenarioArrival),
+      sim::Rng(seed, rng::kSessionScenarioFailure)};
+}
 
 /// Session `global_index`'s staggered Poisson arrival: conditioned on N
 /// arrivals in the window [0, N / arrival_rate), arrival times are iid
@@ -293,7 +310,7 @@ struct SessionRngs {
 /// pre-scan and the session agree on the time without sharing state.
 double staggered_arrival(const SessionFarmOptions& options,
                          std::uint64_t global_index) {
-  sim::Rng lifecycle(replica_seed(options.seed, global_index, 0),
+  sim::Rng lifecycle(session_seed(options.seed, global_index),
                      rng::kSessionLifecycle);
   const double window =
       static_cast<double>(options.sessions) / options.arrival_rate;
@@ -529,13 +546,12 @@ class SingleHopSession {
   std::optional<protocols::RelayClient> relay_client_;
 };
 
-/// One tree session: arrival -> start -> updates over a full
-/// protocols::Topology -- one sender, relays at interior nodes, receivers
-/// at the leaves, per-edge channels.  Chain sessions run through this very
-/// class as fan-out-1 trees, just as run_multi_hop runs its chains on the
-/// tree harness.  Measured over the lifetime window
-/// [arrival, arrival + lifetime], then silently torn down with
-/// Topology::stop().
+/// One farm tree session: a protocols::TreeSession -- the same class
+/// run_tree drives -- measured over the lifetime window
+/// [arrival, arrival + lifetime].  Chain sessions run through it as
+/// fan-out-1 trees.  The window ends silently (Topology::stop()) or, with
+/// SessionFarmOptions::teardown, with an explicit remove() priced over a
+/// grace period of one timeout interval.
 ///
 /// Tree sessions are arena-placed but NEVER recycled: quiescent() is
 /// constant false, so a finished tree stays constructed (absorbing
@@ -558,62 +574,26 @@ class TreeSession {
       : sim_(sim),
         params_(params),
         options_(options),
-        mech_(mechanisms(kind)),
         sink_(sink),
         local_(local),
-        rngs_(options.seed, global_index) {
-    protocols::TimerSettings timers{options.timer_dist, params.refresh_timer,
-                                    params.timeout_timer,
-                                    params.retrans_timer};
-    std::vector<sim::LossConfig> edge_loss;
-    std::vector<sim::DelayConfig> edge_delay;
-    edge_loss.reserve(params.edges());
-    edge_delay.reserve(params.edges());
-    for (std::size_t e = 0; e < params.edges(); ++e) {
-      edge_loss.push_back(params.edge_loss_config(e));
-      edge_delay.push_back(sim::DelayConfig{options.delay_model,
-                                            params.delay[e],
-                                            options.delay_shape});
-    }
-    topology_ = std::make_unique<protocols::Topology>(
-        sim, rngs_.channel, rngs_.sender, mech_, timers, params.tree,
-        edge_loss, edge_delay, [this] { on_change(); });
-    if (options.leaf_churn.enabled() ||
-        options.scenario.membership_processes()) {
-      membership_ = std::make_unique<protocols::MembershipController>(
-          sim, *topology_, rngs_.membership, options.leaf_churn,
-          options.scenario, &rngs_.scenario_arrival, [this] { on_change(); });
-    }
-    if (options.scenario.failure.enabled()) {
-      failure_ = std::make_unique<protocols::RelayFailureProcess>(
-          sim, *topology_, rngs_.scenario_failure, options.scenario.failure,
-          mech_.external_failure_detector);
-    }
-    const double window =
-        static_cast<double>(options.sessions) / options.arrival_rate;
-    arrival_ = window * rngs_.lifecycle.uniform();
-    lifetime_ = rngs_.lifecycle.exponential(options.session_lifetime);
+        tree_(sim, kind, params, options.timer_dist, options.delay_model,
+              options.delay_shape, options.leaf_churn, options.scenario,
+              tree_streams(options.seed, global_index)) {
+    // The lifecycle stream's first draw is the arrival the shard's
+    // pre-scan already scheduled (this constructor runs inside that
+    // event); the second is the lifetime.  Updates continue the stream.
+    sim::Rng& lifecycle = tree_.lifecycle_rng();
+    (void)lifecycle.uniform();
+    lifetime_ = lifecycle.exponential(options.session_lifetime);
   }
 
-  /// The arena slot this session occupies (unused: trees never retire, but
-  /// the shard's spawn path is session-type-agnostic).
-  void set_slot(std::uint32_t slot) noexcept { slot_ = slot; }
+  /// Trees never retire, so the slot is not kept.
+  void set_slot(std::uint32_t /*slot*/) noexcept {}
 
   /// Starts the session (the body of its arrival event).
   void begin() {
-    inconsistent_ = sim::TimeWeightedValue(arrival_);
-    topology_->sender().start(++version_);
-    schedule_update();
-    if (mech_.external_failure_detector && params_.false_signal_rate > 0.0) {
-      false_signal_events_.resize(topology_->relays());
-      for (std::size_t i = 0; i < topology_->relays(); ++i) {
-        schedule_false_signal(i);
-      }
-    }
-    if (membership_) membership_->start();
-    if (failure_) failure_->start();
+    tree_.start();
     sim_.schedule_in(lifetime_, [this] { finish(); });
-    on_change();
   }
 
   /// Never recyclable -- see the class comment.
@@ -627,160 +607,58 @@ class TreeSession {
   bool deliver_fabric(const CrossShardEntry& /*entry*/) { return false; }
 
  private:
-  void schedule_update() {
-    if (params_.update_rate <= 0.0) return;
-    update_event_ = sim_.schedule_in(
-        rngs_.lifecycle.exponential(1.0 / params_.update_rate), [this] {
-          update_event_.reset();
-          topology_->sender().update(++version_);
-          schedule_update();
-        });
-  }
-
-  void schedule_false_signal(std::size_t relay) {
-    false_signal_events_[relay] = sim_.schedule_in(
-        rngs_.failure.exponential(1.0 / params_.false_signal_rate),
-        [this, relay] {
-          false_signal_events_[relay].reset();
-          topology_->relay(relay).external_removal_signal();
-          schedule_false_signal(relay);
-        });
-  }
-
-  void on_change() {
-    if (done_) return;
-    if (membership_) membership_->on_state_change();
-    bool all_ok = true;
-    for (std::size_t i = 0; i < topology_->relays(); ++i) {
-      // Required nodes must mirror the sender; detached nodes must hold
-      // nothing (without churn every node is required -- the historical
-      // definition, bit for bit).
-      const bool ok = topology_->node_required(i + 1)
-                          ? topology_->relay(i).value() ==
-                                topology_->sender().value()
-                          : !topology_->relay(i).value().has_value();
-      all_ok = all_ok && ok;
-    }
-    inconsistent_.set(sim_.now(), all_ok ? 0.0 : 1.0);
-  }
-
+  /// The window ends: inconsistency tracking stops, churn and scenario
+  /// processes freeze, and pending update/false-signal events are
+  /// cancelled.  Without teardown the session finalizes at once; with it
+  /// the sender's remove() propagates down every branch for one timeout
+  /// interval first.
   void finish() {
-    if (options_.teardown) {
-      finish_with_teardown();
+    end_ = sim_.now();
+    tree_.close();
+    sink_.churn[local_] = tree_.churn();
+    sink_.relay_crashes += tree_.relay_crashes();
+    sink_.relay_recoveries += tree_.relay_recoveries();
+    window_messages_ = tree_.topology().messages_sent();
+    if (!options_.teardown) {
+      finalize();
       return;
     }
-    done_ = true;
-    const double end = sim_.now();
-    if (membership_) {
-      membership_->finish();
-      sink_.churn[local_] = membership_->report();
-    }
-    if (failure_) {
-      // Cancel the pending crash/recovery/detection events BEFORE the
-      // counters are frozen, so no scenario event straggles past the
-      // window (the teardown tests pin a flat event pool).
-      failure_->stop();
-      sink_.relay_crashes += failure_->crashes();
-      sink_.relay_recoveries += failure_->recoveries();
-    }
-    // Counters frozen at window end: stragglers delivered to a stopped
-    // tree may still execute (and even re-install relay state briefly),
-    // and how many do depends on how long the shard keeps simulating --
-    // snapshotting keeps results independent of the shard decomposition.
-    const std::uint64_t messages = topology_->messages_sent();
+    tree_.topology().sender().remove();
+    sim_.schedule_in(params_.timeout_timer, [this] { finalize(); });
+  }
+
+  /// Counters frozen here: stragglers delivered to a stopped tree may still
+  /// execute (and even re-install relay state briefly), and how many do
+  /// depends on how long the shard keeps simulating -- snapshotting keeps
+  /// results independent of the shard decomposition.
+  void finalize() {
+    protocols::Topology& topology = tree_.topology();
+    const std::uint64_t messages = topology.messages_sent();
     const auto sent = static_cast<double>(messages);
     Metrics& metrics = sink_.metrics[local_];
-    metrics.inconsistency = inconsistent_.mean(end);
+    metrics.inconsistency = tree_.inconsistency(end_);
     metrics.session_length = lifetime_;
     metrics.raw_message_rate = lifetime_ > 0.0 ? sent / lifetime_ : 0.0;
     metrics.message_rate = metrics.raw_message_rate;
-    if (update_event_) {
-      sim_.cancel(*update_event_);
-      update_event_.reset();
-    }
-    for (auto& id : false_signal_events_) {
-      if (id) sim_.cancel(*id);
-    }
-    false_signal_events_.clear();
-    topology_->stop();
-    sink_.end[local_] = end;
+    topology.stop();
+    sink_.teardown_messages += messages - window_messages_;
+    sink_.end[local_] = end_;
     sink_.messages += messages;
-    sink_.receiver_timeouts += topology_->relay_timeouts();
+    sink_.receiver_timeouts += topology.relay_timeouts();
     ++sink_.completed;
     // No sink_.retire: the slot cools forever (never quiescent).
   }
 
-  /// Explicit-teardown variant of finish() (SessionFarmOptions::teardown):
-  /// the window still ends now -- inconsistency tracking stops, churn and
-  /// scenario processes freeze, pending update/false-signal events are
-  /// cancelled -- but instead of silently stopping the tree, the sender
-  /// issues an explicit remove() whose teardown messages propagate down
-  /// every branch during a grace period of one timeout interval.  Only then
-  /// does the session finalize, pricing the teardown traffic into its
-  /// message counts and the sink's teardown_messages.
-  void finish_with_teardown() {
-    done_ = true;
-    end_time_ = sim_.now();
-    if (membership_) {
-      membership_->finish();
-      sink_.churn[local_] = membership_->report();
-    }
-    if (failure_) {
-      failure_->stop();
-      sink_.relay_crashes += failure_->crashes();
-      sink_.relay_recoveries += failure_->recoveries();
-    }
-    if (update_event_) {
-      sim_.cancel(*update_event_);
-      update_event_.reset();
-    }
-    for (auto& id : false_signal_events_) {
-      if (id) sim_.cancel(*id);
-    }
-    false_signal_events_.clear();
-    window_messages_ = topology_->messages_sent();
-    topology_->sender().remove();
-    sim_.schedule_in(params_.timeout_timer, [this] { finalize_teardown(); });
-  }
-
-  void finalize_teardown() {
-    const double end = end_time_;
-    const std::uint64_t messages = topology_->messages_sent();
-    const auto sent = static_cast<double>(messages);
-    Metrics& metrics = sink_.metrics[local_];
-    metrics.inconsistency = inconsistent_.mean(end);
-    metrics.session_length = lifetime_;
-    metrics.raw_message_rate = lifetime_ > 0.0 ? sent / lifetime_ : 0.0;
-    metrics.message_rate = metrics.raw_message_rate;
-    topology_->stop();
-    sink_.teardown_messages += messages - window_messages_;
-    sink_.end[local_] = end;
-    sink_.messages += messages;
-    sink_.receiver_timeouts += topology_->relay_timeouts();
-    ++sink_.completed;
-  }
-
   sim::Simulator& sim_;
+  // The shard keeps params/options alive for the sessions' whole lifetime.
   const analytic::TreeParams& params_;
   const SessionFarmOptions& options_;
-  MechanismSet mech_;
   ShardSink& sink_;
   std::size_t local_;
-  std::uint32_t slot_ = 0;
-  SessionRngs rngs_;
-  std::unique_ptr<protocols::Topology> topology_;
-  std::unique_ptr<protocols::MembershipController> membership_;
-  std::unique_ptr<protocols::RelayFailureProcess> failure_;
-
-  double arrival_ = 0.0;
+  protocols::TreeSession tree_;
   double lifetime_ = 0.0;
-  std::int64_t version_ = 0;
-  bool done_ = false;
-  double end_time_ = 0.0;              ///< teardown: the frozen window end
-  std::uint64_t window_messages_ = 0;  ///< teardown: count at window end
-  sim::TimeWeightedValue inconsistent_;
-  std::optional<sim::EventId> update_event_;
-  std::vector<std::optional<sim::EventId>> false_signal_events_;
+  double end_ = 0.0;                   ///< the window end
+  std::uint64_t window_messages_ = 0;  ///< messages sent by the window end
 };
 
 /// One shared relay session: a SharedRelayHub plus its fabric identity and
@@ -877,33 +755,9 @@ class RelaySession {
   protocols::SharedRelayHub hub_;
 };
 
-/// Everything one shard reports back to the aggregator.
-struct ShardOutcome {
-  std::vector<Metrics> per_session;  ///< in global session order
-  /// Per-session churn reports in global session order: summed by the
-  /// aggregator in that order, so the reduced report cannot depend on the
-  /// shard decomposition (floating-point addition is order-sensitive).
-  std::vector<protocols::ChurnReport> per_session_churn;
-  std::vector<double> arrival;  ///< per-session begin times
-  std::vector<double> end;      ///< per-session completion times
-  std::uint64_t messages = 0;
-  std::uint64_t events = 0;
-  std::uint64_t receiver_timeouts = 0;
-  std::uint64_t relay_crashes = 0;
-  std::uint64_t relay_recoveries = 0;
-  std::uint64_t teardown_messages = 0;
-  std::uint64_t fabric_dropped = 0;
-  std::uint64_t relay_installs = 0;
-  std::uint64_t relay_refreshes = 0;
-  std::uint64_t relay_soft_timeouts = 0;
-  double end_time = 0.0;
-  std::size_t arena_high_water = 0;
-  std::size_t arena_chunks = 0;
-};
-
 /// Reduces completed shard outcomes, in shard (= global session) order,
 /// into a SessionFarmResult.  `total_sessions` is only a reserve hint.
-SessionFarmResult aggregate_outcomes(std::vector<ShardOutcome>& outcomes,
+SessionFarmResult aggregate_outcomes(const std::vector<ShardSink>& outcomes,
                                      const SessionFarmOptions& options,
                                      std::size_t total_sessions) {
   SessionFarmResult result;
@@ -914,10 +768,10 @@ SessionFarmResult aggregate_outcomes(std::vector<ShardOutcome>& outcomes,
   std::vector<double> ends;
   starts.reserve(total_sessions);
   ends.reserve(total_sessions);
-  for (ShardOutcome& outcome : outcomes) {
-    all_sessions.insert(all_sessions.end(), outcome.per_session.begin(),
-                        outcome.per_session.end());
-    for (const protocols::ChurnReport& churn : outcome.per_session_churn) {
+  for (const ShardSink& outcome : outcomes) {
+    all_sessions.insert(all_sessions.end(), outcome.metrics.begin(),
+                        outcome.metrics.end());
+    for (const protocols::ChurnReport& churn : outcome.churn) {
       result.churn.absorb(churn);
     }
     result.messages += outcome.messages;
@@ -1049,27 +903,13 @@ class FarmShard {
     sim_.schedule_at(boundary, [this] { flush_inbox(); });
   }
 
-  /// Extracts the shard's results (call once, after completion).
-  ShardOutcome finish() {
-    ShardOutcome out;
-    out.per_session = std::move(sink_.metrics);
-    out.per_session_churn = std::move(sink_.churn);
-    out.arrival = std::move(sink_.arrival);
-    out.end = std::move(sink_.end);
-    out.messages = sink_.messages;
-    out.receiver_timeouts = sink_.receiver_timeouts;
-    out.relay_crashes = sink_.relay_crashes;
-    out.relay_recoveries = sink_.relay_recoveries;
-    out.teardown_messages = sink_.teardown_messages;
-    out.relay_installs = sink_.relay_installs;
-    out.relay_refreshes = sink_.relay_refreshes;
-    out.relay_soft_timeouts = sink_.relay_soft_timeouts;
-    out.fabric_dropped = dropped_;
-    out.events = sim_.events_executed();
-    out.end_time = sim_.now();
-    out.arena_high_water = arena_.slot_capacity();
-    out.arena_chunks = arena_.chunk_allocations();
-    return out;
+  /// Moves the shard's results out (call once, after completion).
+  ShardSink finish() {
+    sink_.events = sim_.events_executed();
+    sink_.end_time = sim_.now();
+    sink_.arena_high_water = arena_.slot_capacity();
+    sink_.arena_chunks = arena_.chunk_allocations();
+    return std::move(sink_);
   }
 
  private:
@@ -1092,7 +932,7 @@ class FarmShard {
       Session* endpoint = endpoints_[static_cast<std::size_t>(entry.dest) -
                                      first_];
       if (endpoint == nullptr || !endpoint->deliver_fabric(entry)) {
-        ++dropped_;
+        ++sink_.fabric_dropped;
       }
     }
     inbox_.clear();
@@ -1116,7 +956,6 @@ class FarmShard {
   /// Live fabric endpoints by local index (nullptr = not on the fabric or
   /// already completed).
   std::vector<Session*> endpoints_;
-  std::uint64_t dropped_ = 0;
 };
 
 /// Materializes the rings of a fabric run from the static subscription map:
@@ -1285,7 +1124,7 @@ SessionFarmResult run_farm(ProtocolKind kind, const Params& params,
   // Extract and release every shard before the reduce: the reduce copies
   // the per-session vectors, and the shards' simulators and arenas need
   // not outlive their outcomes.
-  std::vector<ShardOutcome> outcomes(shards);
+  std::vector<ShardSink> outcomes(shards);
   parallel_for(engine->pool(), workers, [&](std::size_t w) {
     each_owned(w, [&](auto& shard, std::size_t s) {
       outcomes[s] = shard->finish();

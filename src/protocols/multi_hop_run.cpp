@@ -1,5 +1,6 @@
 #include "protocols/multi_hop_run.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -23,8 +24,11 @@ MultiHopSimResult run_multi_hop(ProtocolKind kind,
                                 const MultiHopSimOptions& options) {
   // The chain runs on the tree harness as the fan-out-1 tree.  These checks
   // come first only so the errors name run_multi_hop and the hop vectors.
-  if (options.duration <= 0.0) {
+  if (!(options.duration > 0.0)) {
     throw std::invalid_argument("run_multi_hop: duration must be > 0");
+  }
+  if (!std::isfinite(options.duration)) {
+    throw std::invalid_argument("run_multi_hop: duration must be finite");
   }
   params.validate();
   if (!supports_multi_hop(kind)) {

@@ -1,9 +1,9 @@
 // A fully wired signaling tree: the sender at the root, relays at interior
 // nodes, receivers at the leaves, with per-edge bidirectional channels,
-// sinks connected, and optional per-edge tracing.  One builder shared by
-// the tree harness (protocols/tree_run.cpp, which also runs chains as the
-// fan-out-1 special case) and the session farm (exp/session_farm.cpp), so
-// topology and wiring can never drift between them.
+// sinks connected, and optional per-edge tracing.  Built in one place,
+// protocols::TreeSession (tree_run.hpp), which both the tree harness
+// (which also runs chains as the fan-out-1 special case) and the session
+// farm drive, so topology and wiring can never drift between them.
 #pragma once
 
 #include <cstdint>

@@ -1,16 +1,16 @@
 #include "protocols/tree_run.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rng_streams.hpp"
-#include "protocols/topology.hpp"
-#include "sim/channel.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 
@@ -18,209 +18,227 @@ namespace sigcomp::protocols {
 
 namespace {
 
-/// The one chain/tree harness: run_multi_hop runs its chain here as the
-/// fan-out-1 tree, so the chain golden traces pin this class too.
-class TreeRun {
- public:
-  TreeRun(ProtocolKind kind, analytic::TreeParams params,
-          const TreeSimOptions& options)
-      : params_(std::move(params)),
-        options_(options),
-        mech_(mechanisms(kind)),
-        rng_channel_(options.seed, rng::kTreeChannel),
-        rng_nodes_(options.seed, rng::kTreeNodes),
-        rng_lifecycle_(options.seed, rng::kTreeLifecycle),
-        rng_failure_(options.seed, rng::kTreeFailure),
-        rng_membership_(options.seed, rng::kTreeMembership),
-        rng_scenario_arrival_(options.seed, rng::kTreeScenarioArrival),
-        rng_scenario_failure_(options.seed, rng::kTreeScenarioFailure) {
-    params_.validate();
-    if (!supports_multi_hop(kind)) {
-      throw std::invalid_argument("run_tree: unsupported protocol " +
-                                  std::string(to_string(kind)));
-    }
-    TimerSettings timers;
-    timers.dist = options.timer_dist;
-    timers.refresh = params_.refresh_timer;
-    timers.timeout = params_.timeout_timer;
-    timers.retrans = params_.retrans_timer;
-
-    // Edge e's two directions share the link's loss/delay.
-    const std::size_t e_count = params_.edges();
-    std::vector<sim::LossConfig> edge_loss;
-    std::vector<sim::DelayConfig> edge_delay;
-    edge_loss.reserve(e_count);
-    edge_delay.reserve(e_count);
-    for (std::size_t e = 0; e < e_count; ++e) {
-      edge_loss.push_back(params_.edge_loss_config(e));
-      edge_delay.push_back(sim::DelayConfig{options.delay_model,
-                                            params_.delay[e],
-                                            options.delay_shape});
-    }
-    topology_ = std::make_unique<Topology>(
-        sim_, rng_channel_, rng_nodes_, mech_, timers, params_.tree, edge_loss,
-        edge_delay, [this] { on_change(); }, options_.trace);
-    options_.scenario.validate();
-    if (options_.churn.enabled() ||
-        options_.scenario.membership_processes()) {
-      // The controller feeds membership flips back through on_change() so
-      // the monitors resample the instant the required-set moves; its rng
-      // is a dedicated substream, so a zero-churn run replays the static
-      // tree bit-for-bit.  Scenario modulation (flash crowds, shared-risk
-      // bursts) draws from its own substream, so an unmodulated run also
-      // replays the iid-churn trace exactly.
-      membership_ = std::make_unique<MembershipController>(
-          sim_, *topology_, rng_membership_, options_.churn,
-          options_.scenario, &rng_scenario_arrival_, [this] { on_change(); });
-    }
-    if (options_.scenario.failure.enabled()) {
-      failure_ = std::make_unique<RelayFailureProcess>(
-          sim_, *topology_, rng_scenario_failure_, options_.scenario.failure,
-          mech_.external_failure_detector);
-    }
-
-    inconsistent_nodes_.assign(e_count, sim::TimeWeightedValue{});
-    path_ok_.assign(params_.tree.nodes(), 1);  // the root is always ok
-    leaves_ = params_.tree.leaves();
-    inconsistent_paths_.assign(leaves_.size(), sim::TimeWeightedValue{});
-  }
-
-  TreeSimResult run() {
-    topology_->sender().start(++version_);
-    schedule_update();
-    if (mech_.external_failure_detector && params_.false_signal_rate > 0.0) {
-      for (std::size_t i = 0; i < params_.edges(); ++i) {
-        schedule_false_signal(i);
-      }
-    }
-    if (membership_) membership_->start();
-    if (failure_) failure_->start();
-    sim_.run_until(options_.duration);
-    if (membership_) membership_->finish();
-    if (failure_) failure_->stop();
-
-    TreeSimResult out;
-    out.duration = options_.duration;
-    out.messages = topology_->messages_sent();
-    out.relay_timeouts = topology_->relay_timeouts();
-    for (std::size_t i = 0; i < params_.edges(); ++i) {
-      out.node_inconsistency.push_back(
-          inconsistent_nodes_[i].mean(options_.duration));
-    }
-    for (std::size_t p = 0; p < leaves_.size(); ++p) {
-      out.leaf_path_inconsistency.push_back(
-          inconsistent_paths_[p].mean(options_.duration));
-    }
-    out.metrics.inconsistency = any_inconsistent_.mean(options_.duration);
-    out.metrics.raw_message_rate =
-        static_cast<double>(out.messages) / options_.duration;
-    out.metrics.message_rate = out.metrics.raw_message_rate;
-    if (membership_) out.churn = membership_->report();
-    if (failure_) {
-      out.relay_crashes = failure_->crashes();
-      out.relay_recoveries = failure_->recoveries();
-    }
-    return out;
-  }
-
- private:
-  void schedule_update() {
-    if (params_.update_rate <= 0.0) return;
-    sim_.schedule_in(rng_lifecycle_.exponential(1.0 / params_.update_rate),
-                     [this] {
-                       topology_->sender().update(++version_);
-                       schedule_update();
-                     });
-  }
-
-  void schedule_false_signal(std::size_t relay) {
-    sim_.schedule_in(
-        rng_failure_.exponential(1.0 / params_.false_signal_rate),
-        [this, relay] {
-          topology_->relay(relay).external_removal_signal();
-          schedule_false_signal(relay);
-        });
-  }
-
-  void on_change() {
-    if (membership_) membership_->on_state_change();
-    // This callback fires on every state change at every node, so it must
-    // not allocate: path_ok_ is a member buffer.
-    const double now = sim_.now();
-    const Topology& topology = *topology_;
-    const std::optional<std::int64_t> root = topology.sender().value();
-    bool all_ok = true;
-    for (std::size_t i = 0; i < topology.relays(); ++i) {
-      // A required node (on the path to a joined leaf) must mirror the
-      // sender; a detached node must hold nothing.  With churn disabled
-      // every node is required, which is the historical definition.
-      const std::optional<std::int64_t> held = topology.relay(i).value();
-      const bool ok =
-          topology.node_required(i + 1) ? held == root : !held.has_value();
-      path_ok_[i + 1] = ok ? 1 : 0;  // relay i is node i+1
-      sample(inconsistent_nodes_[i], now, !ok);
-      all_ok = all_ok && ok;
-    }
-    sample(any_inconsistent_, now, !all_ok);
-    if (!all_ok) {
-      // One root-first pass turns node flags into path flags:
-      // path_ok[n] = path_ok[parent(n)] & ok(n).  TreeSpec orders every
-      // parent before its children (parent[i] <= i), so node i+1's parent
-      // is final by the time it is read.  When every node is ok, every
-      // path is too and the flags are already right.
-      const std::vector<std::size_t>& parent = params_.tree.parent;
-      for (std::size_t i = 0; i < parent.size(); ++i) {
-        path_ok_[i + 1] &= path_ok_[parent[i]];
-      }
-    }
-    for (std::size_t p = 0; p < leaves_.size(); ++p) {
-      sample(inconsistent_paths_[p], now, path_ok_[leaves_[p]] == 0);
-    }
-  }
-
-  /// Records a 0/1 inconsistency indicator.  Integrating 0 over any
-  /// interval adds exactly +0.0, so an indicator that is 0 and stays 0
-  /// needs no sample: skipping it leaves every bit of its mean unchanged,
-  /// and most nodes are consistent most of the time.
-  static void sample(sim::TimeWeightedValue& indicator, double now, bool bad) {
-    if (bad || indicator.value() != 0.0) indicator.set(now, bad ? 1.0 : 0.0);
-  }
-
-  analytic::TreeParams params_;
-  TreeSimOptions options_;
-  MechanismSet mech_;
-
-  sim::Simulator sim_;
-  sim::Rng rng_channel_;
-  sim::Rng rng_nodes_;
-  sim::Rng rng_lifecycle_;
-  sim::Rng rng_failure_;
-  sim::Rng rng_membership_;
-  sim::Rng rng_scenario_arrival_;
-  sim::Rng rng_scenario_failure_;
-  std::unique_ptr<Topology> topology_;
-  std::unique_ptr<MembershipController> membership_;
-  std::unique_ptr<RelayFailureProcess> failure_;
-
-  std::vector<sim::TimeWeightedValue> inconsistent_nodes_;
-  /// Per node: every node on its root path is ok (on_change scratch;
-  /// entry 0, the root, is always 1).
-  std::vector<char> path_ok_;
-  std::vector<std::size_t> leaves_;  ///< leaf node ids, increasing
-  std::vector<sim::TimeWeightedValue> inconsistent_paths_;
-  sim::TimeWeightedValue any_inconsistent_;
-  std::int64_t version_ = 0;
-};
+/// Records a 0/1 inconsistency indicator.  Integrating 0 over any interval
+/// adds exactly +0.0, so an indicator that is 0 and stays 0 needs no
+/// sample: skipping it leaves every bit of its mean unchanged, and most
+/// nodes are consistent most of the time.
+void sample(sim::TimeWeightedValue& indicator, double now, bool bad) {
+  if (bad || indicator.value() != 0.0) indicator.set(now, bad ? 1.0 : 0.0);
+}
 
 }  // namespace
 
+TreeSession::TreeSession(sim::Simulator& sim, ProtocolKind kind,
+                         const analytic::TreeParams& params,
+                         sim::Distribution timer_dist,
+                         sim::DelayModel delay_model, double delay_shape,
+                         const ChurnOptions& churn,
+                         const ScenarioOptions& scenario, TreeStreams streams,
+                         Hook hook, sim::TraceLog* trace)
+    : sim_(sim),
+      params_(params),
+      mech_(mechanisms(kind)),
+      streams_(streams),
+      hook_(std::move(hook)) {
+  const TimerSettings timers{timer_dist, params.refresh_timer,
+                             params.timeout_timer, params.retrans_timer};
+  // Edge e's two directions share the link's loss/delay.
+  std::vector<sim::LossConfig> edge_loss;
+  std::vector<sim::DelayConfig> edge_delay;
+  edge_loss.reserve(params.edges());
+  edge_delay.reserve(params.edges());
+  for (std::size_t e = 0; e < params.edges(); ++e) {
+    edge_loss.push_back(params.edge_loss_config(e));
+    edge_delay.push_back(
+        sim::DelayConfig{delay_model, params.delay[e], delay_shape});
+  }
+  topology_ = std::make_unique<Topology>(
+      sim, streams_.channel, streams_.nodes, mech_, timers, params.tree,
+      edge_loss, edge_delay, [this] { resample(); }, trace);
+  if (churn.enabled() || scenario.membership_processes()) {
+    // The controller feeds membership flips back through resample() so the
+    // indicator moves the instant the required set does.  Churn and
+    // scenario modulation each draw from their own stream, so a zero-churn
+    // run replays the static tree, and an unmodulated run the iid-churn
+    // trace, bit for bit.
+    membership_ = std::make_unique<MembershipController>(
+        sim, *topology_, streams_.membership, churn, scenario,
+        &streams_.scenario_arrival, [this] { resample(); });
+  }
+  if (scenario.failure.enabled()) {
+    failure_ = std::make_unique<RelayFailureProcess>(
+        sim, *topology_, streams_.scenario_failure, scenario.failure,
+        mech_.external_failure_detector);
+  }
+}
+
+void TreeSession::start() {
+  inconsistent_ = sim::TimeWeightedValue(sim_.now());
+  topology_->sender().start(++version_);
+  schedule_update();
+  if (mech_.external_failure_detector && params_.false_signal_rate > 0.0) {
+    false_signal_events_.resize(topology_->relays());
+    for (std::size_t i = 0; i < topology_->relays(); ++i) {
+      schedule_false_signal(i);
+    }
+  }
+  if (membership_) membership_->start();
+  if (failure_) failure_->start();
+  resample();
+}
+
+bool TreeSession::node_ok(std::size_t node) const {
+  // Without churn every node is required -- the historical definition.
+  const std::optional<std::int64_t> held = topology_->relay(node - 1).value();
+  return topology_->node_required(node) ? held == topology_->sender().value()
+                                        : !held.has_value();
+}
+
+void TreeSession::resample() {
+  if (closed_) return;
+  if (membership_) membership_->on_state_change();
+  // This runs on every state change at every node, so it must not
+  // allocate.
+  bool all_ok = true;
+  for (std::size_t node = 1; node <= topology_->relays(); ++node) {
+    if (!node_ok(node)) {
+      all_ok = false;
+      break;
+    }
+  }
+  sample(inconsistent_, sim_.now(), !all_ok);
+  if (hook_) hook_(*this, all_ok);
+}
+
+void TreeSession::close() {
+  closed_ = true;
+  if (membership_) membership_->finish();
+  // Cancel the pending crash/recovery/detection events so no scenario
+  // event straggles past the window (the farm's teardown tests pin a flat
+  // event pool).
+  if (failure_) failure_->stop();
+  if (update_event_) {
+    sim_.cancel(*update_event_);
+    update_event_.reset();
+  }
+  for (const std::optional<sim::EventId>& id : false_signal_events_) {
+    if (id) sim_.cancel(*id);
+  }
+  false_signal_events_.clear();
+}
+
+ChurnReport TreeSession::churn() const {
+  return membership_ ? membership_->report() : ChurnReport{};
+}
+
+std::uint64_t TreeSession::relay_crashes() const noexcept {
+  return failure_ ? failure_->crashes() : 0;
+}
+
+std::uint64_t TreeSession::relay_recoveries() const noexcept {
+  return failure_ ? failure_->recoveries() : 0;
+}
+
+void TreeSession::schedule_update() {
+  if (params_.update_rate <= 0.0) return;
+  update_event_ = sim_.schedule_in(
+      streams_.lifecycle.exponential(1.0 / params_.update_rate), [this] {
+        update_event_.reset();
+        topology_->sender().update(++version_);
+        schedule_update();
+      });
+}
+
+void TreeSession::schedule_false_signal(std::size_t relay) {
+  false_signal_events_[relay] = sim_.schedule_in(
+      streams_.failure.exponential(1.0 / params_.false_signal_rate),
+      [this, relay] {
+        false_signal_events_[relay].reset();
+        topology_->relay(relay).external_removal_signal();
+        schedule_false_signal(relay);
+      });
+}
+
 TreeSimResult run_tree(ProtocolKind kind, const analytic::TreeParams& params,
                        const TreeSimOptions& options) {
-  if (options.duration <= 0.0) {
+  // NaN fails the first check and +inf the second: either would run the
+  // simulator to a meaningless (or endless) horizon.
+  if (!(options.duration > 0.0)) {
     throw std::invalid_argument("run_tree: duration must be > 0");
   }
-  TreeRun run(kind, params, options);
-  return run.run();
+  if (!std::isfinite(options.duration)) {
+    throw std::invalid_argument("run_tree: duration must be finite");
+  }
+  params.validate();
+  if (!supports_multi_hop(kind)) {
+    throw std::invalid_argument("run_tree: unsupported protocol " +
+                                std::string(to_string(kind)));
+  }
+  options.scenario.validate();
+
+  // The per-relay and per-leaf path monitors, fed by the session's hook.
+  // path_ok[n]: every node on node n's root path keeps its rule (entry 0,
+  // the root, is always 1).
+  const std::vector<std::size_t> leaves = params.tree.leaves();
+  std::vector<sim::TimeWeightedValue> node_bad(params.edges());
+  std::vector<sim::TimeWeightedValue> path_bad(leaves.size());
+  std::vector<char> path_ok(params.tree.nodes(), 1);
+  sim::Simulator sim;
+  const std::uint64_t seed = options.seed;
+  TreeSession session(
+      sim, kind, params, options.timer_dist, options.delay_model,
+      options.delay_shape, options.churn, options.scenario,
+      TreeStreams{sim::Rng(seed, rng::kTreeChannel),
+                  sim::Rng(seed, rng::kTreeNodes),
+                  sim::Rng(seed, rng::kTreeLifecycle),
+                  sim::Rng(seed, rng::kTreeFailure),
+                  sim::Rng(seed, rng::kTreeMembership),
+                  sim::Rng(seed, rng::kTreeScenarioArrival),
+                  sim::Rng(seed, rng::kTreeScenarioFailure)},
+      [&](const TreeSession& s, bool all_ok) {
+        const double now = sim.now();
+        for (std::size_t n = 1; n < path_ok.size(); ++n) {
+          path_ok[n] = s.node_ok(n) ? 1 : 0;
+          sample(node_bad[n - 1], now, path_ok[n] == 0);
+        }
+        if (!all_ok) {
+          // One root-first pass turns node flags into path flags:
+          // path_ok[n] = path_ok[parent(n)] & ok(n).  TreeSpec orders every
+          // parent before its children (parent[i] <= i), so node i+1's
+          // parent is final by the time it is read.  When every node is
+          // ok, every path is too and the flags are already right.
+          const std::vector<std::size_t>& parent = params.tree.parent;
+          for (std::size_t i = 0; i < parent.size(); ++i) {
+            path_ok[i + 1] &= path_ok[parent[i]];
+          }
+        }
+        for (std::size_t p = 0; p < leaves.size(); ++p) {
+          sample(path_bad[p], now, path_ok[leaves[p]] == 0);
+        }
+      },
+      options.trace);
+  session.start();
+  sim.run_until(options.duration);
+  session.close();
+
+  TreeSimResult out;
+  out.duration = options.duration;
+  out.messages = session.topology().messages_sent();
+  out.relay_timeouts = session.topology().relay_timeouts();
+  for (const sim::TimeWeightedValue& bad : node_bad) {
+    out.node_inconsistency.push_back(bad.mean(options.duration));
+  }
+  for (const sim::TimeWeightedValue& bad : path_bad) {
+    out.leaf_path_inconsistency.push_back(bad.mean(options.duration));
+  }
+  out.metrics.inconsistency = session.inconsistency(options.duration);
+  out.metrics.raw_message_rate =
+      static_cast<double>(out.messages) / options.duration;
+  out.metrics.message_rate = out.metrics.raw_message_rate;
+  out.churn = session.churn();
+  out.relay_crashes = session.relay_crashes();
+  out.relay_recoveries = session.relay_recoveries();
+  return out;
 }
 
 TreeReplicatedResult run_tree_replicated(ProtocolKind kind,

@@ -6,7 +6,8 @@
 // same compaction bound as the production queue.  Nothing in the simulator
 // links against it; tests drive it and sim::EventQueue through identical
 // operation streams and assert identical pop sequences, and bench/perf_scale
-// reports the pooled queue's speedup over it.
+// reports the pooled queue's speedup over it.  It lives in tests/, beside
+// its differential suite, so the library ships no test-only code.
 #pragma once
 
 #include <algorithm>
@@ -139,12 +140,9 @@ class ReferenceEventQueue {
   // The unordered containers below are membership/lookup-only (find,
   // erase, clear -- never iterated), and this queue is test/bench-only:
   // nothing in the library links against it, and its pop order comes from
-  // the (time, seq) heap, never from hash iteration.
-  // sigcomp-lint: allow(unordered-container) lookup-only cancelled-set;
-  // reference impl, pop order derived from the heap
-  mutable std::unordered_set<std::uint64_t> cancelled_;
-  // sigcomp-lint: allow(unordered-container) seq->action lookup only;
-  // reference impl, pop order derived from the heap
+  // the (time, seq) heap, never from hash iteration.  (The determinism
+  // lint covers src/ only, so they need no waiver here.)
+  mutable std::unordered_set<std::uint64_t> cancelled_;  ///< cancelled seqs
   std::unordered_map<std::uint64_t, std::function<void()>> actions_;
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/reference_event_queue.hpp"
+#include "reference_event_queue.hpp"
 #include "sim/rng.hpp"
 
 namespace sigcomp::sim {

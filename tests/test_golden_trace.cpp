@@ -201,9 +201,10 @@ TEST(GoldenTrace, HeteroChainRecordStreamsArePinned) {
 }
 
 TEST(GoldenTrace, DegenerateTreeReproducesChainDigests) {
-  // The tree harness on a fan-out-1 spec must replay the chain harness
-  // exactly: same RNG substreams, same wiring order, same trace labels --
-  // so its digests are the *chain* constants above, not new ones.
+  // run_tree on TreeParams::chain must replay run_multi_hop's chain
+  // exactly: both routes reach the same TreeSession with the same RNG
+  // substreams, wiring order and trace labels -- so its digests are the
+  // *chain* constants above, not new ones.
   MultiHopParams chain;
   chain.hops = 3;
   const analytic::TreeParams params = analytic::TreeParams::chain(chain);

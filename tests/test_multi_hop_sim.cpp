@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "analytic/multi_hop.hpp"
@@ -105,9 +106,14 @@ TEST(MultiHopSim, ExplicitRemovalProtocolsRunAndMatchTheirBaseChain) {
 
 TEST(MultiHopSim, RejectsNonPositiveDuration) {
   MultiHopSimOptions options;
-  options.duration = 0.0;
-  EXPECT_THROW((void)run_multi_hop(ProtocolKind::kSS, small_chain(), options),
-               std::invalid_argument);
+  for (const double duration : {0.0, std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    options.duration = duration;
+    EXPECT_THROW(
+        (void)run_multi_hop(ProtocolKind::kSS, small_chain(), options),
+        std::invalid_argument)
+        << duration;
+  }
 }
 
 TEST(MultiHopSim, SameSeedIsReproducible) {

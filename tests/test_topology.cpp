@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -278,9 +279,13 @@ TEST(TreeRun, AcceptsAllFiveProtocolsAndRejectsBadOptions) {
         protocols::run_tree(kind, tree, options);
     EXPECT_GT(result.messages, 0u) << to_string(kind);
   }
-  options.duration = 0.0;
-  EXPECT_THROW((void)protocols::run_tree(ProtocolKind::kSS, tree, options),
-               std::invalid_argument);
+  for (const double duration : {0.0, std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    options.duration = duration;
+    EXPECT_THROW((void)protocols::run_tree(ProtocolKind::kSS, tree, options),
+                 std::invalid_argument)
+        << duration;
+  }
   EXPECT_THROW((void)protocols::run_tree_replicated(ProtocolKind::kSS, tree,
                                                     protocols::TreeSimOptions{},
                                                     0),
