@@ -4,9 +4,10 @@
 // pre-refactor reference implementation (sim::ReferenceEventQueue:
 // std::function + unordered_map + lazily-deleted binary heap) on identical
 // operation streams: a schedule/pop flood with small (timer-sized) and
-// large (delivery-sized) captures, the classic DES hold pattern, and the
-// soft-state re-arm churn pattern (cancel + push, the hot path of refresh
-// timers).
+// large (delivery-sized) captures, the classic DES hold pattern, and
+// cancel + push churn at later times.  The library's own timers re-arm in
+// place (EventQueue::reschedule), which the reference queue lacks, so the
+// churn row times the cancel path both queues share.
 //
 // Part 2 drives the session farm at N in {1k, 10k, 100k} concurrent
 // single-hop sessions for all five protocols, plus a 100k-session
@@ -226,8 +227,8 @@ double hold_rate(std::size_t depth, std::size_t rounds) {
   return static_cast<double>(2 * rounds) / elapsed;
 }
 
-/// The soft-state refresh pattern: `live` long-lived timers, each round
-/// re-arms one (cancel + push at a later time).  Returns ops/second.
+/// Cancel-heavy churn: `live` long-lived timers, each round cancels one and
+/// pushes a successor at a later time.  Returns ops/second.
 template <typename Queue>
 double churn_rate(std::size_t live, std::size_t rounds) {
   Queue q;
@@ -274,9 +275,8 @@ double bench_event_core(exp::Table& table, JsonReport& json, bool quick) {
   add_core_row(table, json, "hold, steady depth",
                hold_rate<sim::ReferenceEventQueue>(hold_depth, rounds),
                hold_rate<sim::EventQueue>(hold_depth, rounds));
-  // The headline workload: the soft-state refresh/backoff timer churn that
-  // dominates every protocol simulation.  The heap pays O(log n) sift plus
-  // husk compaction per cancel.
+  // Cancel + push churn, the re-arm pattern before EventQueue::reschedule:
+  // the heap pays O(log n) sift plus husk compaction per cancel.
   const double ref_churn = churn_rate<sim::ReferenceEventQueue>(live, rounds);
   const double heap_churn = churn_rate<sim::EventQueue>(live, rounds);
   add_core_row(table, json, "re-arm churn (cancel-heavy)", ref_churn,

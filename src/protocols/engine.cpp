@@ -70,8 +70,7 @@ void SenderEngine::update(std::int64_t value) {
   }
   slot_.set(value);
   trigger_seq_ = next_seq_++;
-  cancel(trigger_retrans_timer_);
-  send_trigger();
+  send_trigger();  // re-arms a pending trigger retransmission in place
   notify();
 }
 
@@ -125,10 +124,9 @@ double next_stage(double current, const TimerSettings& timers) {
 }  // namespace
 
 void SenderEngine::arm_trigger_retrans() {
-  cancel(trigger_retrans_timer_);
-  trigger_retrans_timer_ = sim_.schedule_in(
-      sim::sample(rng_, timers_.dist, trigger_retrans_interval_),
-      [this] { on_trigger_retrans(); });
+  rearm_timer(sim_, trigger_retrans_timer_,
+              sim::sample(rng_, timers_.dist, trigger_retrans_interval_),
+              [this] { on_trigger_retrans(); });
 }
 
 void SenderEngine::on_trigger_retrans() {
@@ -140,10 +138,9 @@ void SenderEngine::on_trigger_retrans() {
 }
 
 void SenderEngine::arm_removal_retrans() {
-  cancel(removal_retrans_timer_);
-  removal_retrans_timer_ = sim_.schedule_in(
-      sim::sample(rng_, timers_.dist, removal_retrans_interval_),
-      [this] { on_removal_retrans(); });
+  rearm_timer(sim_, removal_retrans_timer_,
+              sim::sample(rng_, timers_.dist, removal_retrans_interval_),
+              [this] { on_removal_retrans(); });
 }
 
 void SenderEngine::on_removal_retrans() {
@@ -174,8 +171,7 @@ void SenderEngine::handle(const Message& msg) {
       // have it, re-install.
       if (slot_.value()) {
         trigger_seq_ = next_seq_++;
-        cancel(trigger_retrans_timer_);
-        send_trigger();
+        send_trigger();  // re-arms a pending trigger retransmission in place
       }
       break;
     default:

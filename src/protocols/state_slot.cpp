@@ -17,9 +17,9 @@ StateSlot::StateSlot(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
 
 void StateSlot::arm_timeout() {
   if (!mech_.soft_timeout) return;
-  cancel_timeout();
-  timeout_timer_ = sim_.schedule_in(
-      sim::sample(rng_, timers_.dist, timers_.timeout), [this] { on_timeout(); });
+  rearm_timer(sim_, timeout_timer_,
+              sim::sample(rng_, timers_.dist, timers_.timeout),
+              [this] { on_timeout(); });
 }
 
 void StateSlot::cancel_timeout() {
@@ -74,9 +74,8 @@ void ReliableSlot::cancel() {
 }
 
 void ReliableSlot::arm() {
-  if (timer_) sim_.cancel(*timer_);
-  timer_ = sim_.schedule_in(sim::sample(rng_, dist_, retrans_timer_),
-                            [this] { on_timer(); });
+  rearm_timer(sim_, timer_, sim::sample(rng_, dist_, retrans_timer_),
+              [this] { on_timer(); });
 }
 
 void ReliableSlot::on_timer() {

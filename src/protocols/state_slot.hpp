@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <utility>
 
 #include "core/protocol.hpp"
 #include "protocols/message.hpp"
@@ -47,6 +48,22 @@ struct TimerSettings {
 
 /// The channel type every protocol node sends Messages through.
 using MessageChannel = sim::Channel<Message>;
+
+/// Re-arms `timer` to fire `delay` seconds from now: moves its pending event
+/// in place (Simulator::reschedule_in) when there is one, else schedules
+/// `action`.  Either way the event order equals cancel + schedule_in.
+template <typename F>
+void rearm_timer(sim::Simulator& sim, std::optional<sim::EventId>& timer,
+                 sim::Time delay, F&& action) {
+  if (timer) {
+    const sim::EventId moved = sim.reschedule_in(*timer, delay);
+    if (moved.value != 0) {
+      timer = moved;
+      return;
+    }
+  }
+  timer = sim.schedule_in(delay, std::forward<F>(action));
+}
 
 /// One node's copy of the signaling state plus the soft-state timeout that
 /// guards it.  Lifecycle events map to methods: install/refresh (`set` +

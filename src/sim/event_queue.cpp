@@ -36,7 +36,7 @@ void EventQueue::release_slot(std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
   s.action.reset();
   s.seq = 0;
-  s.drained = false;
+  s.heap_seq = kNoEntry;
   s.next_free = free_head_;
   free_head_ = slot;
 }
@@ -77,6 +77,23 @@ void EventQueue::heap_remove_front() const noexcept {
   if (!heap_.empty()) sift_down(0);
 }
 
+void EventQueue::heap_push(Time time, std::uint64_t seq, std::uint32_t slot) {
+  slots_[slot].time = time;
+  slots_[slot].seq = seq;
+  slots_[slot].heap_seq = seq;
+  heap_.push_back(HeapEntry{time, (seq << kSlotBits) | slot});
+  sift_up(heap_.size() - 1);
+}
+
+void EventQueue::make_heap() const noexcept {
+  if (heap_.size() > 1) {
+    // Re-heapify bottom-up from the last parent, the d-ary make_heap.
+    for (std::size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;) {
+      sift_down(i);
+    }
+  }
+}
+
 EventId EventQueue::push(Time time, EventCallback action) {
   if (!std::isfinite(time)) {
     throw std::invalid_argument("EventQueue::push: time must be finite");
@@ -89,10 +106,8 @@ EventId EventQueue::push(Time time, EventCallback action) {
   }
   const std::uint64_t seq = next_seq_++;
   const std::uint32_t slot = acquire_slot();
-  slots_[slot].seq = seq;
   slots_[slot].action = std::move(action);
-  heap_.push_back(HeapEntry{time, (seq << kSlotBits) | slot});
-  sift_up(heap_.size() - 1);
+  heap_push(time, seq, slot);
   ++live_;
   return EventId{seq, slot};
 }
@@ -102,38 +117,77 @@ bool EventQueue::cancel(EventId id) {
   if (slots_[id.slot].seq != id.value) return false;
   // A drained event has no husk in the heap -- releasing the slot is the
   // whole cancellation.
-  if (slots_[id.slot].drained) --drained_live_;
+  if (slots_[id.slot].heap_seq == kNoEntry) --drained_live_;
   release_slot(id.slot);
   --live_;
+  compact_if_sparse();
+  return true;
+}
+
+EventId EventQueue::reschedule(EventId id, Time time) {
+  if (!std::isfinite(time)) {
+    throw std::invalid_argument("EventQueue::reschedule: time must be finite");
+  }
+  if (id.value == 0 || id.slot >= slots_.size()) return EventId{};
+  Slot& s = slots_[id.slot];
+  if (s.seq != id.value) return EventId{};
+  if (next_seq_ >= kMaxSeq) {
+    throw std::length_error("EventQueue: sequence space exhausted");
+  }
+  const std::uint64_t seq = next_seq_++;
+  if (s.heap_seq == kNoEntry) {
+    // Drained: no heap entry to reuse, and none left behind as a husk.
+    --drained_live_;
+    heap_push(time, seq, id.slot);
+  } else if (time >= s.time) {
+    // Later: the heap entry's key stays below the true one, so the entry
+    // cannot surface early; it is re-keyed when it does surface.
+    s.time = time;
+    s.seq = seq;
+  } else {
+    // Earlier: the old entry would surface too late.  Push a fresh one;
+    // the old one becomes a husk.
+    heap_push(time, seq, id.slot);
+    compact_if_sparse();
+  }
+  return EventId{seq, id.slot};
+}
+
+void EventQueue::compact_if_sparse() {
   // Reclaim eagerly once dead husks outnumber live IN-HEAP events (drained
-  // events are live but hold no heap entry), so a cancel-heavy run
-  // (soft-state refresh churn) holds O(live) memory instead of
-  // O(cancelled).
+  // events are live but hold no heap entry), so a cancel-heavy run holds
+  // O(live) memory instead of O(cancelled).
   const std::size_t live_in_heap = live_ - drained_live_;
   if (heap_.size() > kCompactionThreshold &&
       heap_.size() - live_in_heap > live_in_heap) {
     compact();
   }
-  return true;
 }
 
 void EventQueue::compact() {
-  std::erase_if(heap_,
-                [this](const HeapEntry& entry) { return !entry_live(entry); });
-  if (heap_.size() > 1) {
-    // Re-heapify bottom-up from the last parent, the d-ary make_heap.
-    for (std::size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;) {
-      sift_down(i);
-    }
+  std::size_t kept = 0;
+  for (const HeapEntry& entry : heap_) {
+    if (entry_live(entry)) heap_[kept++] = true_key(entry);
   }
+  heap_.resize(kept);
+  make_heap();
 }
 
 void EventQueue::drop_dead() const noexcept {
-  // Dead husks never touch the slot pool: their slot was released (and
-  // possibly reused) at cancel time, so shedding them only mutates the
-  // mutable heap vector.
-  while (!heap_.empty() && !entry_live(heap_.front())) {
-    heap_remove_front();
+  // Husks never touch the slot pool: their slot was released (and possibly
+  // reused) or moved on at cancel/reschedule time, so shedding them -- and
+  // re-keying a live front entry whose event was rescheduled later -- only
+  // mutates the mutable heap vector.
+  while (!heap_.empty()) {
+    HeapEntry& front = heap_.front();
+    if (!entry_live(front)) {
+      heap_remove_front();
+      continue;
+    }
+    const HeapEntry key = true_key(front);
+    if (key.packed == front.packed) return;
+    front = key;
+    sift_down(0);
   }
 }
 
@@ -168,20 +222,17 @@ void EventQueue::drain_due(Time horizon, std::vector<DrainedEvent>& out) {
   std::size_t kept = 0;
   for (const HeapEntry& entry : heap_) {
     if (!entry_live(entry)) continue;
-    if (entry.time <= horizon) {
-      out.push_back(DrainedEvent{entry.time, entry.seq(), entry.slot()});
-      slots_[entry.slot()].drained = true;
+    const HeapEntry key = true_key(entry);
+    if (key.time <= horizon) {
+      out.push_back(DrainedEvent{key.time, key.seq(), key.slot()});
+      slots_[key.slot()].heap_seq = kNoEntry;
       ++drained_live_;
     } else {
-      heap_[kept++] = entry;
+      heap_[kept++] = key;
     }
   }
   heap_.resize(kept);
-  if (heap_.size() > 1) {
-    for (std::size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;) {
-      sift_down(i);
-    }
-  }
+  make_heap();
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(start), out.end(),
             [](const DrainedEvent& a, const DrainedEvent& b) noexcept {
               if (a.time != b.time) return a.time < b.time;
@@ -194,7 +245,7 @@ bool EventQueue::take_drained(const DrainedEvent& event, EventCallback& action) 
   // possibly reused by a newer push) between drain_due and dispatch.
   if (event.slot >= slots_.size()) return false;
   Slot& s = slots_[event.slot];
-  if (s.seq != event.seq || !s.drained) return false;
+  if (s.seq != event.seq || s.heap_seq != kNoEntry) return false;
   action = std::move(s.action);
   release_slot(event.slot);
   --live_;
@@ -205,11 +256,9 @@ bool EventQueue::take_drained(const DrainedEvent& event, EventCallback& action) 
 void EventQueue::requeue_drained(const DrainedEvent& event) {
   if (event.slot >= slots_.size()) return;
   Slot& s = slots_[event.slot];
-  if (s.seq != event.seq || !s.drained) return;
-  s.drained = false;
+  if (s.seq != event.seq || s.heap_seq != kNoEntry) return;
   --drained_live_;
-  heap_.push_back(HeapEntry{event.time, (event.seq << kSlotBits) | event.slot});
-  sift_up(heap_.size() - 1);
+  heap_push(event.time, event.seq, event.slot);
 }
 
 bool EventQueue::peek_ready(Time& time) const {

@@ -5,7 +5,8 @@
 //
 //  * Callbacks are stored in EventCallback, a move-only type-erased functor
 //    with inline small-buffer storage (no heap allocation for captures up to
-//    kInlineCapacity bytes; every callback in this codebase fits).
+//    kInlineCapacity bytes and pointer alignment; every callback in this
+//    codebase fits).
 //  * Each pending event occupies a slot in a pooled vector; freed slots are
 //    recycled through an intrusive free list, so steady-state schedule/
 //    cancel/pop churn performs zero allocations and zero hash lookups
@@ -15,11 +16,17 @@
 //    deterministically in schedule order (important for reproducible runs).
 //    The pop sequence is the unique (time, seq)-sorted order of live events,
 //    independent of the internal heap shape.
-//  * Cancelling frees the slot immediately and leaves a dead husk in the
-//    heap; husks are reclaimed when they surface, or -- so cancel-heavy
-//    workloads (refresh/backoff timer churn) cannot accumulate unbounded
-//    garbage -- by compacting the heap whenever dead husks outnumber live
-//    events.
+//  * Timers re-arm in place: reschedule() gives the event a fresh seq, as
+//    cancel + push would, but keeps its slot and callback.  A later deadline
+//    only rewrites the slot (its true time and seq); the event's heap entry
+//    keeps its older, smaller key and is re-keyed lazily when it reaches the
+//    front or when drain_due()/compaction visit it, so it can never pop
+//    early.  An earlier deadline pushes a fresh entry.
+//  * Dead husks come only from cancel() and earlier reschedules: the slot
+//    (and callback) is freed or moved on at once and the old {time, seq}
+//    entry stays in the heap.  Husks are reclaimed when they surface, or --
+//    so cancel-heavy workloads cannot accumulate unbounded garbage -- by
+//    compacting the heap whenever dead husks outnumber live events.
 #pragma once
 
 #include <cstdint>
@@ -37,14 +44,18 @@ using Time = double;
 /// Move-only type-erased `void()` callable with inline small-buffer storage.
 ///
 /// Replaces std::function on the event hot path: a callable whose size is at
-/// most kInlineCapacity (and nothrow-move-constructible) lives entirely
-/// inside the EventCallback object; larger callables fall back to the heap
-/// (counted, so tests can assert the hot path never allocates).
+/// most kInlineCapacity, whose alignment is at most kInlineAlign (and which
+/// is nothrow-move-constructible) lives entirely inside the EventCallback
+/// object; other callables fall back to the heap (counted, so tests can
+/// assert the hot path never allocates).
 class EventCallback {
  public:
   /// Inline storage size: covers every capture in this codebase (the
   /// largest is a channel delivery closure: a pointer plus a Message).
   static constexpr std::size_t kInlineCapacity = 48;
+  /// Inline storage alignment: pointer alignment keeps the object at 56
+  /// bytes (the queue's pool slot at 80); no library capture needs more.
+  static constexpr std::size_t kInlineAlign = alignof(void*);
 
   /// Empty callback (boolean-false; must not be invoked).
   EventCallback() noexcept = default;
@@ -59,7 +70,7 @@ class EventCallback {
                           // std::function at schedule call sites
     using Fn = std::decay_t<F>;
     if constexpr (sizeof(Fn) <= kInlineCapacity &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
+                  alignof(Fn) <= kInlineAlign &&
                   std::is_nothrow_move_constructible_v<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       vtable_ = inline_vtable<Fn>();
@@ -164,7 +175,7 @@ class EventCallback {
   }
 
   const VTable* vtable_ = nullptr;
-  alignas(std::max_align_t) unsigned char storage_[kInlineCapacity];
+  alignas(kInlineAlign) unsigned char storage_[kInlineCapacity];
 };
 
 /// Opaque handle to a scheduled event; usable for cancellation.  `value` is
@@ -201,14 +212,30 @@ class EventQueue {
   /// surfaces or compaction removes it.
   bool cancel(EventId id);
 
+  /// Moves a pending event to `time`, keeping its callback and slot: the
+  /// in-place re-arm of a refresh, timeout or retransmission timer.  The
+  /// event gets a fresh seq exactly as cancel() + push() would, so pop
+  /// order is the same as with that pair.  A later (or equal) `time`
+  /// rewrites only the slot -- the heap entry is re-keyed lazily -- and an
+  /// earlier one pushes a fresh entry, leaving the old one as a husk.  A
+  /// drained event (see drain_due) returns to the heap.
+  /// @param id    handle of a pending event
+  /// @param time  new execution time; must be finite
+  /// @return the event's new handle (the old one no longer matches), or an
+  ///         invalid EventId (value 0) with nothing changed when `id` is
+  ///         not pending: already executed, cancelled or default.
+  /// @throws std::invalid_argument when `time` is not finite.
+  EventId reschedule(EventId id, Time time);
+
   /// True when no live event remains.
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
 
   /// Number of live (pending, uncancelled) events.
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
-  /// Entries physically held by the heap: live events plus cancelled husks
-  /// not yet reclaimed.  Compaction keeps this below
+  /// Entries physically held by the heap: one per undrained live event plus
+  /// husks (from cancel() and earlier reschedules) not yet reclaimed.
+  /// Later reschedules add none.  Compaction keeps this below
   /// max(2 * size(), compaction threshold); tests assert the bound.
   [[nodiscard]] std::size_t heap_entries() const noexcept {
     return heap_.size();
@@ -271,12 +298,23 @@ class EventQueue {
   static constexpr std::uint64_t kMaxSlots = 1ULL << kSlotBits;
   static constexpr std::uint64_t kMaxSeq = 1ULL << (64 - kSlotBits);
 
+  /// heap_seq of a slot with no heap entry: free, or drained by drain_due.
+  static constexpr std::uint64_t kNoEntry = ~std::uint64_t{0};
+
   struct Slot {
     EventCallback action;
-    std::uint64_t seq = 0;  ///< occupying event's seq; 0 = free
-    std::uint32_t next_free = kNoSlot;
-    bool drained = false;  ///< extracted by drain_due; no husk in the heap
+    std::uint64_t seq = 0;  ///< occupying event's current seq; 0 = free
+    /// Seq the slot's heap entry was pushed with.  The entry may since
+    /// have been re-keyed to a later seq, never below this one; entries
+    /// naming this slot with a smaller seq are husks.
+    std::uint64_t heap_seq = kNoEntry;
+    union {
+      Time time = 0.0;          ///< true due time while occupied
+      std::uint32_t next_free;  ///< free-list link while free
+    };
   };
+  // A larger slot measurably raises every workload's peak RSS.
+  static_assert(sizeof(Slot) <= 80, "EventQueue::Slot grew past 80 bytes");
 
   struct HeapEntry {
     Time time;
@@ -297,8 +335,16 @@ class EventQueue {
     return a.packed < b.packed;
   }
 
+  /// False for a husk.  A live entry may still carry a stale key, below
+  /// its slot's true (time, seq).
   [[nodiscard]] bool entry_live(const HeapEntry& e) const noexcept {
-    return slots_[e.slot()].seq == e.seq();
+    return e.seq() >= slots_[e.slot()].heap_seq;
+  }
+
+  /// The true key of the event a live entry belongs to.
+  [[nodiscard]] HeapEntry true_key(const HeapEntry& e) const noexcept {
+    const Slot& s = slots_[e.slot()];
+    return HeapEntry{s.time, (s.seq << kSlotBits) | e.slot()};
   }
 
   std::uint32_t acquire_slot();
@@ -309,7 +355,10 @@ class EventQueue {
   void sift_up(std::size_t i) noexcept;
   void sift_down(std::size_t i) const noexcept;
   void heap_remove_front() const noexcept;
+  void heap_push(Time time, std::uint64_t seq, std::uint32_t slot);
+  void make_heap() const noexcept;
   void drop_dead() const noexcept;
+  void compact_if_sparse();
   void compact();
 
   mutable std::vector<HeapEntry> heap_;  ///< 4-ary implicit min-heap

@@ -16,6 +16,11 @@ EventId Simulator::schedule_in(Time delay, EventCallback action) {
   return queue_.push(now_ + delay, std::move(action));
 }
 
+EventId Simulator::reschedule_in(EventId id, Time delay) {
+  if (delay < 0.0) delay = 0.0;
+  return queue_.reschedule(id, now_ + delay);
+}
+
 void Simulator::execute_next() {
   auto event = queue_.pop();
   now_ = event.time;

@@ -33,6 +33,14 @@ class Simulator {
   /// Cancels a pending event.  Returns false when it already ran/cancelled.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// Re-arms a pending event to run `delay` seconds from now (negative
+  /// delays are clamped to "immediately"), keeping its callback: the
+  /// in-place form of cancel() + schedule_in() for refresh, timeout and
+  /// retransmission timers, with the same resulting event order.
+  /// @return the event's new handle, or an invalid EventId (value 0) with
+  ///         nothing changed when `id` already ran or was cancelled.
+  EventId reschedule_in(EventId id, Time delay);
+
   /// Executes the next event, if any.  Returns false when the queue is empty.
   bool step();
 

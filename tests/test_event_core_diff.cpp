@@ -2,7 +2,9 @@
 // implementation: identical randomized operation streams must produce
 // identical observable behavior -- pop sequence (time and payload), sizes,
 // emptiness, cancel outcomes -- while the pooled EventQueue also honors its
-// heap_entries() compaction bound and free-list slot recycling.
+// heap_entries() compaction bound and free-list slot recycling.  The
+// pooled queue's in-place reschedule() is checked against the reference's
+// cancel + push of the same payload.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,13 +26,22 @@ struct PendingPair {
   EventId pooled;
   ReferenceEventId reference;
   std::uint64_t payload;
+  Time time = 0.0;
 };
 
+/// A callback that appends `payload` to `fired` when it runs.
+auto append_to(std::vector<std::uint64_t>& fired, std::uint64_t payload) {
+  return [&fired, payload] { fired.push_back(payload); };
+}
+
 /// Drives the pooled EventQueue and the reference queue through an
-/// identical randomized op stream.
+/// identical randomized op stream.  With `reschedules`, half the cancels
+/// become reschedules (cancel + push of the same payload on the reference
+/// side); without, the op stream is the original push/cancel/pop mix.
 class DifferentialDriver {
  public:
-  explicit DifferentialDriver(std::uint64_t seed) : rng_(seed) {}
+  explicit DifferentialDriver(std::uint64_t seed, bool reschedules = false)
+      : rng_(seed), reschedules_(reschedules) {}
 
   void run(std::size_t operations) {
     for (std::size_t op = 0; op < operations; ++op) {
@@ -55,8 +66,12 @@ class DifferentialDriver {
     const std::uint64_t roll = rng_.uniform_int(10);
     if (roll < 5) {  // 50% schedule
       push();
-    } else if (roll < 8 && !pending_.empty()) {  // 30% cancel
-      cancel();
+    } else if (roll < 8 && !pending_.empty()) {  // 30% cancel/reschedule
+      if (reschedules_ && rng_.uniform_int(2) == 0) {
+        reschedule();
+      } else {
+        cancel();
+      }
     } else if (!pooled_.empty()) {  // 20% pop
       pop();
     } else {
@@ -69,11 +84,30 @@ class DifferentialDriver {
     const std::uint64_t payload = next_payload_++;
     PendingPair pair;
     pair.payload = payload;
+    pair.time = t;
     pair.pooled =
         pooled_.push(t, [this, payload] { pooled_fired_.push_back(payload); });
     pair.reference = reference_.push(
         t, [this, payload] { reference_fired_.push_back(payload); });
     pending_.push_back(pair);
+  }
+
+  void reschedule() {
+    // Moves a random pending event up to 300 s later or earlier.
+    PendingPair& pair = pending_[rng_.uniform_int(pending_.size())];
+    const Time t = pair.time + rng_.uniform(-300.0, 300.0);
+    const EventId old_pooled = pair.pooled;
+    const ReferenceEventId old_reference = pair.reference;
+    pair.pooled = pooled_.reschedule(old_pooled, t);
+    ASSERT_NE(pair.pooled.value, 0u) << "rescheduling a pending event failed";
+    ASSERT_TRUE(reference_.cancel(old_reference));
+    pair.reference =
+        reference_.push(t, append_to(reference_fired_, pair.payload));
+    pair.time = t;
+    // The superseded handles are dead on both sides.
+    ASSERT_FALSE(pooled_.cancel(old_pooled));
+    ASSERT_EQ(pooled_.reschedule(old_pooled, t), EventId{});
+    ASSERT_FALSE(reference_.cancel(old_reference));
   }
 
   void cancel() {
@@ -123,6 +157,7 @@ class DifferentialDriver {
   }
 
   Rng rng_;
+  bool reschedules_;
   EventQueue pooled_;
   ReferenceEventQueue reference_;
   std::vector<PendingPair> pending_;
@@ -153,6 +188,13 @@ TEST(EventCoreDifferential, RandomizedOpsMatchReferenceAcrossSeeds) {
   }
 }
 
+TEST(EventCoreDifferential, RandomizedReschedulesMatchReferenceAcrossSeeds) {
+  for (const std::uint64_t seed : {1ull, 7ull, 42ull, 1337ull, 99991ull}) {
+    DifferentialDriver driver(seed, /*reschedules=*/true);
+    driver.run(10000);
+  }
+}
+
 TEST(EventCoreDifferential, TieStormMatchesReference) {
   // Many events at identical times: pop order must be insertion order in
   // both queues.
@@ -169,6 +211,45 @@ TEST(EventCoreDifferential, TieStormMatchesReference) {
     pooled.pop().action();
     reference.pop().action();
   }
+  EXPECT_EQ(pooled_order, reference_order);
+}
+
+TEST(EventCoreDifferential, TieStormWithReschedulesMatchesReference) {
+  // Reschedules onto the same three instants: a moved event must run after
+  // every event already waiting at its new time, as cancel + push orders
+  // it, whether the move is later, earlier or to the same time.
+  EventQueue pooled;
+  ReferenceEventQueue reference;
+  std::vector<std::uint64_t> pooled_order, reference_order;
+  std::vector<PendingPair> pending;
+  Rng rng(5);
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    const Time t = static_cast<Time>(rng.uniform_int(3));
+    PendingPair pair;
+    pair.payload = i;
+    pair.pooled = pooled.push(t, append_to(pooled_order, i));
+    pair.reference = reference.push(t, append_to(reference_order, i));
+    pending.push_back(pair);
+  }
+  for (int round = 0; round < 2000; ++round) {
+    PendingPair& pair = pending[rng.uniform_int(pending.size())];
+    const Time t = static_cast<Time>(rng.uniform_int(3));
+    pair.pooled = pooled.reschedule(pair.pooled, t);
+    ASSERT_NE(pair.pooled.value, 0u);
+    ASSERT_TRUE(reference.cancel(pair.reference));
+    pair.reference =
+        reference.push(t, append_to(reference_order, pair.payload));
+    ASSERT_DOUBLE_EQ(pooled.next_time(), reference.next_time());
+  }
+  while (!pooled.empty()) {
+    ASSERT_FALSE(reference.empty());
+    auto a = pooled.pop();
+    auto b = reference.pop();
+    ASSERT_DOUBLE_EQ(a.time, b.time);
+    a.action();
+    b.action();
+  }
+  EXPECT_TRUE(reference.empty());
   EXPECT_EQ(pooled_order, reference_order);
 }
 
@@ -206,6 +287,58 @@ TEST(EventCoreDifferential, CancelHeavyChurnKeepsBoundsAndOrder) {
     ASSERT_DOUBLE_EQ(a.time, b.time);
     a.action();
     b.action();
+  }
+  EXPECT_TRUE(reference.empty());
+  EXPECT_EQ(pooled_fired, reference_fired);
+}
+
+TEST(EventCoreDifferential, RescheduleOnlyRefreshLoopHoldsNoHusks) {
+  // The soft-state refresh loop with in-place re-arms only: 64 receiver
+  // timeouts (T = 15 s) pushed out by refreshes at random instants, a
+  // timed-out entry re-installed.  Every re-arm is later than the timer's
+  // deadline, so the heap never holds more than one entry per live event.
+  EventQueue pooled;
+  ReferenceEventQueue reference;
+  std::vector<std::uint64_t> pooled_fired, reference_fired;
+  std::vector<PendingPair> timers(64);
+  Rng rng(31);
+  constexpr Time kTimeout = 15.0;
+  Time now = 0.0;
+  const auto install = [&](PendingPair& pair, std::uint64_t payload) {
+    pair.payload = payload;
+    pair.pooled = pooled.push(now + kTimeout, append_to(pooled_fired, payload));
+    pair.reference =
+        reference.push(now + kTimeout, append_to(reference_fired, payload));
+  };
+  for (std::uint64_t i = 0; i < timers.size(); ++i) install(timers[i], i);
+  for (int round = 0; round < 50000; ++round) {
+    now += rng.exponential(5.0 / 64.0);  // each timer refreshed every ~5 s
+    while (!pooled.empty() && pooled.next_time() <= now) {
+      ASSERT_DOUBLE_EQ(reference.next_time(), pooled.next_time());
+      pooled.pop().action();
+      reference.pop().action();
+      ASSERT_EQ(pooled_fired.back(), reference_fired.back());
+      install(timers[pooled_fired.back()], pooled_fired.back());
+    }
+    PendingPair& pair = timers[rng.uniform_int(timers.size())];
+    const Time deadline = now + kTimeout;
+    pair.pooled = pooled.reschedule(pair.pooled, deadline);
+    ASSERT_NE(pair.pooled.value, 0u);
+    ASSERT_TRUE(reference.cancel(pair.reference));
+    pair.reference =
+        reference.push(deadline, append_to(reference_fired, pair.payload));
+    ASSERT_EQ(pooled.size(), reference.size());
+    ASSERT_EQ(pooled.heap_entries(), pooled.size()) << "round " << round;
+    ASSERT_DOUBLE_EQ(pooled.next_time(), reference.next_time());
+  }
+  EXPECT_FALSE(pooled_fired.empty()) << "no timeout ever expired";
+  while (!pooled.empty()) {
+    auto a = pooled.pop();
+    auto b = reference.pop();
+    ASSERT_DOUBLE_EQ(a.time, b.time);
+    a.action();
+    b.action();
+    ASSERT_EQ(pooled.heap_entries(), pooled.size());
   }
   EXPECT_TRUE(reference.empty());
   EXPECT_EQ(pooled_fired, reference_fired);

@@ -235,6 +235,28 @@ TEST(EventCallback, OversizedCapturesSpillToHeapAndStillRun) {
   EXPECT_EQ(out, 7u);
 }
 
+TEST(EventCallback, OverAlignedCapturesSpillToHeapAndStillRun) {
+  // Inline storage is pointer-aligned (it keeps the queue's pool slot at 80
+  // bytes), so a small capture that needs 16-byte alignment takes the
+  // counted heap path instead of being stored misaligned.
+  struct alignas(16) Wide {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+  };
+  static_assert(sizeof(Wide) <= EventCallback::kInlineCapacity);
+  static_assert(alignof(Wide) > EventCallback::kInlineAlign);
+  const std::uint64_t before = EventCallback::heap_allocations();
+  Wide wide;
+  wide.hi = 9;
+  std::uint64_t out = 0;
+  EventCallback cb([wide, &out] { out = wide.hi; });
+  EXPECT_EQ(EventCallback::heap_allocations(), before + 1);
+  EventQueue q;
+  q.push(1.0, std::move(cb));
+  q.pop().action();
+  EXPECT_EQ(out, 9u);
+}
+
 TEST(EventCallback, MoveTransfersOwnershipExactlyOnce) {
   int fired = 0;
   EventCallback a([&fired] { ++fired; });
@@ -412,6 +434,217 @@ TEST(EventQueue, DrainCyclesKeepTheSlotPoolFlat) {
   EXPECT_EQ(EventCallback::heap_allocations(), heap_allocs_before)
       << "a callback spilled to the heap";
   EXPECT_EQ(q.size(), 16u);
+}
+
+// ------------------------------------------------- in-place reschedule --
+
+TEST(EventQueue, LaterRescheduleAddsNoHeapEntry) {
+  // The soft-state refresh pattern: a timeout pushed out again and again
+  // before it fires.  Only the slot changes; the heap keeps one entry.
+  EventQueue q;
+  int fired = 0;
+  q.push(4.0, [] {});
+  EventId timer = q.push(1.0, [&] { ++fired; });
+  const std::uint64_t heap_allocs_before = EventCallback::heap_allocations();
+  for (int i = 2; i <= 10; ++i) {
+    const EventId moved = q.reschedule(timer, static_cast<Time>(i));
+    ASSERT_NE(moved.value, 0u);
+    EXPECT_EQ(moved.slot, timer.slot);  // same slot, callback kept
+    EXPECT_NE(moved.value, timer.value);
+    timer = moved;
+    EXPECT_EQ(q.heap_entries(), 2u);
+    EXPECT_EQ(q.size(), 2u);
+  }
+  EXPECT_EQ(EventCallback::heap_allocations(), heap_allocs_before);
+  // The stale front entry (key 1.0) is re-keyed, not popped early.
+  EXPECT_DOUBLE_EQ(q.next_time(), 4.0);
+  EXPECT_DOUBLE_EQ(q.pop().time, 4.0);
+  auto event = q.pop();
+  EXPECT_DOUBLE_EQ(event.time, 10.0);
+  event.action();
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, EarlierReschedulePopsAtTheNewTime) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventId a = q.push(5.0, [&] { order.push_back(1); });
+  q.push(3.0, [&] { order.push_back(2); });
+  const EventId moved = q.reschedule(a, 1.0);
+  ASSERT_NE(moved.value, 0u);
+  EXPECT_EQ(q.heap_entries(), 3u);  // a fresh entry; the old one is a husk
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 1.0);
+  while (!q.empty()) q.pop().action();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  Time ready = 0.0;
+  EXPECT_FALSE(q.peek_ready(ready));  // sheds the husk once it surfaces
+  EXPECT_EQ(q.heap_entries(), 0u);
+}
+
+TEST(EventQueue, RescheduleTakesAFreshSeqLikeCancelPlusPush) {
+  // Equal time: the rescheduled event now runs after the event pushed
+  // after it, exactly as a cancel + push would order it.
+  EventQueue q;
+  std::vector<int> order;
+  const EventId first = q.push(1.0, [&] { order.push_back(1); });
+  q.push(1.0, [&] { order.push_back(2); });
+  ASSERT_NE(q.reschedule(first, 1.0).value, 0u);
+  while (!q.empty()) q.pop().action();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+}
+
+TEST(EventQueue, LaterThenEarlierRescheduleLeavesOneLiveEntry) {
+  // A lazily re-armed event moved back again before its entry surfaced:
+  // the entry still holds the original key, and the earlier deadline must
+  // win over both the stale key and the later one.
+  EventQueue q;
+  int fired = 0;
+  EventId id = q.push(10.0, [&] { ++fired; });
+  q.push(12.0, [] {});
+  id = q.reschedule(id, 20.0);
+  id = q.reschedule(id, 15.0);
+  ASSERT_NE(id.value, 0u);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_DOUBLE_EQ(q.pop().time, 12.0);
+  auto event = q.pop();
+  EXPECT_DOUBLE_EQ(event.time, 15.0);
+  event.action();
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.heap_entries(), 0u);
+}
+
+TEST(EventQueue, RescheduleOfAnIdThatIsNotPendingChangesNothing) {
+  EventQueue q;
+  const EventId popped = q.push(1.0, [] {});
+  q.pop();
+  const EventId cancelled = q.push(2.0, [] {});
+  ASSERT_TRUE(q.cancel(cancelled));
+  const EventId live = q.push(3.0, [] {});
+  const EventId moved = q.reschedule(live, 4.0);
+  ASSERT_NE(moved.value, 0u);
+  // Default, already popped, cancelled, superseded by a reschedule, and a
+  // slot past the pool.
+  const EventId far_slot{moved.value, moved.slot + 1000};
+  for (const EventId stale : {EventId{}, popped, cancelled, live, far_slot}) {
+    EXPECT_EQ(q.reschedule(stale, 0.5), EventId{});
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_DOUBLE_EQ(q.next_time(), 4.0);
+  }
+  EXPECT_FALSE(q.cancel(live));  // the old handle is dead for cancel too
+  EXPECT_TRUE(q.cancel(moved));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, RescheduleRejectsNonFiniteTimes) {
+  EventQueue q;
+  const EventId id = q.push(1.0, [] {});
+  const Time inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)q.reschedule(id, std::nan("")), std::invalid_argument);
+  EXPECT_THROW((void)q.reschedule(id, inf), std::invalid_argument);
+  EXPECT_THROW((void)q.reschedule(EventId{}, -inf), std::invalid_argument);
+  // The event is untouched: its handle still cancels it.
+  EXPECT_DOUBLE_EQ(q.next_time(), 1.0);
+  EXPECT_TRUE(q.cancel(id));
+}
+
+TEST(EventQueue, RescheduleOfADrainedEventReturnsItToTheHeap) {
+  // A drained event re-armed before dispatch: its drained handle goes
+  // stale, and it pops from the heap at its new time, earlier or later.
+  for (const Time target : {0.5, 7.0}) {
+    EventQueue q;
+    int fired = 0;
+    const EventId id = q.push(1.0, [&] { ++fired; });
+    q.push(2.0, [] {});
+    std::vector<DrainedEvent> due;
+    q.drain_due(3.0, due);
+    ASSERT_EQ(due.size(), 2u);
+    EXPECT_EQ(q.heap_entries(), 0u);
+    const EventId moved = q.reschedule(id, target);
+    ASSERT_NE(moved.value, 0u);
+    EXPECT_EQ(q.heap_entries(), 1u);  // no husk: the drained event had none
+    EventCallback action;
+    EXPECT_FALSE(q.take_drained(due[0], action));
+    q.requeue_drained(due[0]);  // a no-op as well
+    ASSERT_TRUE(q.take_drained(due[1], action));
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_DOUBLE_EQ(q.next_time(), target);
+    q.pop().action();
+    EXPECT_EQ(fired, 1);
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+TEST(EventQueue, DrainUsesTheTrueTimeOfALazilyRescheduledEvent) {
+  // The heap entry still says 1.0; the event is due at 10.0.
+  EventQueue q;
+  const EventId id = q.push(1.0, [] {});
+  q.push(2.0, [] {});
+  ASSERT_NE(q.reschedule(id, 10.0).value, 0u);
+  std::vector<DrainedEvent> due;
+  q.drain_due(5.0, due);
+  ASSERT_EQ(due.size(), 1u);
+  EXPECT_DOUBLE_EQ(due[0].time, 2.0);
+  EventCallback action;
+  ASSERT_TRUE(q.take_drained(due[0], action));
+  q.drain_due(10.0, due);
+  ASSERT_EQ(due.size(), 2u);
+  EXPECT_DOUBLE_EQ(due[1].time, 10.0);
+  ASSERT_TRUE(q.take_drained(due[1], action));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, CompactionReKeysLazilyRescheduledEvents) {
+  // Stale entries survive compaction with their true keys: every fourth
+  // event is pushed out, the rest are cancelled (compacting once husks
+  // outnumber live events), and the survivors pop at their new times.
+  EventQueue q;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 400; ++i) {
+    ids.push_back(q.push(static_cast<Time>(i), [] {}));
+  }
+  for (std::size_t i = 3; i < ids.size(); i += 4) {
+    ids[i] = q.reschedule(ids[i], 1000.0 - static_cast<Time>(i));
+  }
+  EXPECT_EQ(q.heap_entries(), 400u);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i % 4 != 3) {
+      ASSERT_TRUE(q.cancel(ids[i]));
+    }
+  }
+  EXPECT_EQ(q.size(), 100u);
+  EXPECT_LT(q.heap_entries(), 300u) << "compaction never ran";
+  std::vector<Time> popped;
+  while (!q.empty()) popped.push_back(q.pop().time);
+  ASSERT_EQ(popped.size(), 100u);
+  for (std::size_t k = 0; k < popped.size(); ++k) {
+    EXPECT_DOUBLE_EQ(popped[k], 601.0 + 4.0 * static_cast<Time>(k));
+  }
+}
+
+TEST(EventQueue, EarlierRescheduleChurnKeepsHeapCompact) {
+  // Every reschedule moves a timer earlier, each one leaving a husk; the
+  // compaction bound must hold as it does for cancel churn.
+  EventQueue q;
+  std::vector<EventId> timers;
+  for (int i = 0; i < 100; ++i) timers.push_back(q.push(1e9 + i, [] {}));
+  Time deadline = 1e8;
+  for (int round = 0; round < 20000; ++round) {
+    EventId& timer = timers[static_cast<std::size_t>(round) % timers.size()];
+    timer = q.reschedule(timer, deadline);
+    deadline -= 1.0;
+    ASSERT_NE(timer.value, 0u);
+    ASSERT_LE(q.heap_entries(), 2 * q.size() + 65) << "round " << round;
+  }
+  EXPECT_EQ(q.size(), 100u);
+  Time last = -1e18;
+  while (!q.empty()) {
+    const Time t = q.pop().time;
+    EXPECT_LE(last, t);
+    last = t;
+  }
 }
 
 TEST(EventQueue, ManyEventsStressOrdering) {

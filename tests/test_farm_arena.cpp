@@ -15,9 +15,11 @@
 #include <utility>
 #include <vector>
 
+#include "analytic/tree_paths.hpp"
 #include "core/params.hpp"
 #include "core/protocol.hpp"
 #include "exp/session_farm.hpp"
+#include "protocols/scenario.hpp"
 #include "sim/event_queue.hpp"
 
 namespace sigcomp::exp {
@@ -187,6 +189,46 @@ TEST(FarmArena, SteadyStateFarmRunIsAllocationFreeAndRecyclesSlots) {
   // ceil(high_water / 256) of them, never one more.
   EXPECT_EQ(result.arena_chunk_allocations,
             (result.arena_slot_high_water + 255) / 256);
+}
+
+TEST(FarmArena, NoFarmShapeSpillsACallbackToTheHeap) {
+  // The zero-spill contract over every closure the farm schedules: the
+  // five single-hop protocols (refresh, timeout and retransmission timers,
+  // deliveries), the shared-relay fabric, and tree farms with leaf churn,
+  // every scenario process and explicit teardown.  One thread, so all of
+  // it runs on THIS thread and the thread-local counter sees it.
+  SessionFarmOptions options;
+  options.seed = 11;
+  options.sessions = 96;
+  options.arrival_rate = 8.0;
+  options.session_lifetime = 20.0;
+  options.threads = 1;
+  options.shard_size = 32;
+  const SingleHopParams kazaa = SingleHopParams::kazaa_defaults();
+  const std::uint64_t before = sim::EventCallback::heap_allocations();
+  for (const ProtocolKind kind : kAllProtocols) {
+    (void)run_session_farm(kind, kazaa, options);
+  }
+  SessionFarmOptions fabric = options;
+  fabric.shared_relays = 4;
+  fabric.subscribers_per_relay = 8;
+  (void)run_session_farm(ProtocolKind::kSSRT, kazaa, fabric);
+  SessionFarmOptions tree = options;
+  tree.teardown = true;
+  tree.leaf_churn.leaf_lifetime = 6.0;
+  tree.leaf_churn.rejoin_rate = 1.0 / 4.0;
+  tree.scenario.failure =
+      protocols::FailureConfig::relay_crash(1.0 / 10.0, 4.0, 2.0);
+  tree.scenario.arrival = protocols::ArrivalConfig::flash_crowd(8.0, 1.0, 10.0);
+  tree.scenario.shared_risk = protocols::SharedRiskConfig::bursts(1.0 / 20.0);
+  MultiHopParams hop;
+  hop.hops = 2;
+  const analytic::TreeParams params = analytic::TreeParams::balanced(hop, 2, 2);
+  for (const ProtocolKind kind : kMultiHopProtocols) {
+    (void)run_session_farm(kind, params, tree);
+  }
+  EXPECT_EQ(sim::EventCallback::heap_allocations(), before)
+      << "a library closure spilled out of EventCallback's inline storage";
 }
 
 }  // namespace

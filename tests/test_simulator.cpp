@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace sigcomp::sim {
@@ -106,6 +109,87 @@ TEST(Simulator, SimultaneousEventsRunInScheduleOrder) {
   s.schedule_at(1.0, [&] { order.push_back(2); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(Simulator, RescheduleInMovesATimerAndKeepsItsCallback) {
+  Simulator s;
+  std::vector<double> fired_at;
+  EventId timer = s.schedule_in(5.0, [&] { fired_at.push_back(s.now()); });
+  s.schedule_in(1.0, [&] { timer = s.reschedule_in(timer, 10.0); });
+  s.run();
+  EXPECT_EQ(fired_at, (std::vector<double>{11.0}));
+  EXPECT_EQ(s.events_executed(), 2u);
+}
+
+TEST(Simulator, RescheduleInClampsNegativeDelaysToNow) {
+  Simulator s;
+  std::vector<double> fired_at;
+  EventId timer = s.schedule_in(5.0, [&] { fired_at.push_back(s.now()); });
+  s.schedule_in(2.0, [&] { timer = s.reschedule_in(timer, -3.0); });
+  s.run();
+  EXPECT_EQ(fired_at, (std::vector<double>{2.0}));
+}
+
+TEST(Simulator, RescheduleInOfAFinishedEventReturnsAnInvalidId) {
+  Simulator s;
+  const EventId done = s.schedule_in(1.0, [] {});
+  s.run();
+  EXPECT_EQ(s.reschedule_in(done, 1.0), EventId{});
+  EXPECT_EQ(s.reschedule_in(EventId{}, 1.0), EventId{});
+  EXPECT_TRUE(s.idle());
+}
+
+/// One run of the mid-slice re-arm scenario: four events at t = 1..4, the
+/// first of which re-arms the drained, not-yet-run events at t = 3 (later,
+/// to 7 -- past the first slice) and t = 4 (earlier, to 1.5).  `rearm`
+/// does the re-arm; `drive` runs the simulator to completion.  Returns
+/// "name@time" per executed event, then the executed-event count.
+template <typename Rearm, typename Drive>
+std::string mid_slice_rearm_trace(Rearm rearm, Drive drive) {
+  Simulator s;
+  std::ostringstream trace;
+  const auto log = [&trace, &s](const char* name) {
+    return [&trace, &s, name] { trace << name << '@' << s.now() << ' '; };
+  };
+  EventId c;
+  EventId d;
+  s.schedule_at(1.0, [&] {
+    trace << "a@" << s.now() << ' ';
+    c = rearm(s, c, 6.0, log("c"));  // 3 -> 7
+    d = rearm(s, d, 0.5, log("d"));  // 4 -> 1.5
+    s.schedule_in(0.25, log("e"));   // 1.25, merged ahead of both
+  });
+  s.schedule_at(2.0, log("b"));
+  c = s.schedule_at(3.0, log("c"));
+  d = s.schedule_at(4.0, log("d"));
+  drive(s);
+  trace << "executed=" << s.events_executed();
+  return trace.str();
+}
+
+TEST(Simulator, RescheduleOfDrainedEventsInsideRunSliceMatchesStepLoop) {
+  const auto in_place = [](Simulator& s, EventId id, Time delay,
+                           EventCallback /*unused*/) {
+    return s.reschedule_in(id, delay);
+  };
+  const auto cancel_and_push = [](Simulator& s, EventId id, Time delay,
+                                  EventCallback action) {
+    EXPECT_TRUE(s.cancel(id));
+    return s.schedule_in(delay, std::move(action));
+  };
+  const auto sliced = [](Simulator& s) {
+    EXPECT_FALSE(s.run_slice(5.0, [] { return false; }));
+    EXPECT_DOUBLE_EQ(s.now(), 2.0);  // "c" moved out of this slice
+    EXPECT_FALSE(s.run_slice(10.0, [] { return false; }));
+  };
+  const auto stepped = [](Simulator& s) {
+    while (s.step()) {
+    }
+  };
+  const std::string expected = mid_slice_rearm_trace(cancel_and_push, stepped);
+  EXPECT_EQ(expected, "a@1 e@1.25 d@1.5 b@2 c@7 executed=5");
+  EXPECT_EQ(mid_slice_rearm_trace(in_place, sliced), expected);
+  EXPECT_EQ(mid_slice_rearm_trace(in_place, stepped), expected);
 }
 
 }  // namespace
