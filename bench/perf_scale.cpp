@@ -28,6 +28,14 @@
 // single bit of any session's metrics differing across the executions
 // exits 1.  docs/PERFORMANCE.md documents the methodology.
 //
+// The relay-free scale row also reports the process's peak resident set
+// (getrusage) and, as perfbench defines bytes_per_session, the RSS the row
+// added at its peak per concurrently in-flight session -- the per-session
+// footprint at a million sessions.  A row that does not raise the process
+// high-water mark cannot see its own peak and reports both as unresolved;
+// so does the shared-relay row, which always runs under the relay-free
+// row's mark.
+//
 // --shared-relays R (with --sessions N) adds the CROSS-SHARD leg: the same
 // scale workload with R shared relay sessions fed through the ShardRing
 // fabric (R * subscribers-per-relay farm sessions install state through
@@ -38,12 +46,17 @@
 // Usage: perf_scale [--quick] [--csv PATH] [--threads N] [--json PATH]
 //                   [--sessions N] [--shared-relays R]
 //                   [--subscribers-per-relay S]
+#include <malloc.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -69,6 +82,62 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+// ---------------------------------------------------- resident memory --
+
+/// Resident set right now, from /proc/self/statm (pages).
+std::uint64_t current_rss_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t size = 0;
+  std::uint64_t resident = 0;
+  if (!(statm >> size >> resident)) {
+    throw std::runtime_error("cannot read /proc/self/statm");
+  }
+  return resident * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+/// The process's resident high-water mark (getrusage reports KiB on Linux).
+std::uint64_t peak_rss_bytes() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024U;
+}
+
+/// A farm row's memory footprint.  Unresolved when the row did not raise
+/// the process high-water mark (its own peak then hides under an earlier
+/// row's).
+struct RssFootprint {
+  bool resolved = false;
+  double peak_mb = 0.0;         ///< process high-water mark after the row
+  double per_in_flight_b = 0.0;  ///< RSS added at the peak / peak in flight
+};
+
+/// The resident set after handing earlier rows' freed heap back to the
+/// system, so a row's growth over it is not hidden by memory it reuses.
+std::uint64_t trimmed_rss_bytes() {
+  malloc_trim(0);
+  return current_rss_bytes();
+}
+
+/// Marks the resident set before a row; measure() reads the footprint
+/// after it.
+class RssProbe {
+ public:
+  RssProbe()
+      : rss_before_(trimmed_rss_bytes()), peak_before_(peak_rss_bytes()) {}
+
+  [[nodiscard]] RssFootprint measure(std::uint64_t peak_in_flight) const {
+    const std::uint64_t peak = peak_rss_bytes();
+    if (peak <= peak_before_ || peak_in_flight == 0) return {};
+    return {true, static_cast<double>(peak) / (1024.0 * 1024.0),
+            static_cast<double>(peak - rss_before_) /
+                static_cast<double>(peak_in_flight)};
+  }
+
+ private:
+  std::uint64_t rss_before_;
+  std::uint64_t peak_before_;
+};
+
 // ------------------------------------------------------- JSON report ----
 
 /// One event-core workload: ops/s per queue implementation.
@@ -89,6 +158,7 @@ struct FarmJsonRow {
   double sessions_per_s = 0.0;
   std::uint64_t fabric_messages = 0;  ///< cross-shard ring traffic (0 = none)
   std::size_t fabric_rings = 0;       ///< ShardRings materialized
+  std::optional<RssFootprint> rss;    ///< scale rows only
 };
 
 /// One cross-shard ring micro-workload: ops/s through exp::ShardRing.
@@ -150,8 +220,16 @@ void write_json_report(const JsonReport& report, const std::string& path) {
         << "\"events_per_s\": " << json_number(row.events_per_s) << ", "
         << "\"sessions_per_s\": " << json_number(row.sessions_per_s) << ", "
         << "\"fabric_messages\": " << row.fabric_messages << ", "
-        << "\"fabric_rings\": " << row.fabric_rings << "}"
-        << (i + 1 < report.farm.size() ? "," : "") << "\n";
+        << "\"fabric_rings\": " << row.fabric_rings;
+    if (row.rss) {
+      const auto value = [&](double v) {
+        return row.rss->resolved ? json_number(v) : std::string("null");
+      };
+      out << ", \"peak_rss_mb\": " << value(row.rss->peak_mb)
+          << ", \"rss_per_in_flight_bytes\": "
+          << value(row.rss->per_in_flight_b);
+    }
+    out << "}" << (i + 1 < report.farm.size() ? "," : "") << "\n";
   }
   out << "  ]\n";
   out << "}\n";
@@ -394,22 +472,32 @@ exp::SessionFarmOptions farm_options(std::size_t sessions,
   return options;
 }
 
+/// `rss` (scale rows) adds the two footprint columns.
 void add_farm_row(exp::Table& table, JsonReport& json,
                   const std::string& name, std::size_t sessions,
-                  const exp::SessionFarmResult& result, double elapsed) {
+                  const exp::SessionFarmResult& result, double elapsed,
+                  std::optional<RssFootprint> rss = std::nullopt) {
   const double events_per_s =
       static_cast<double>(result.events_executed) / elapsed;
   const double sessions_per_s =
       static_cast<double>(result.sessions) / elapsed;
-  table.add_row({name, static_cast<double>(sessions),
-                 static_cast<double>(result.peak_sessions_in_flight),
-                 static_cast<double>(result.events_executed), elapsed,
-                 events_per_s, sessions_per_s,
-                 result.summary.mean.inconsistency});
+  std::vector<exp::Cell> cells{
+      name, static_cast<double>(sessions),
+      static_cast<double>(result.peak_sessions_in_flight),
+      static_cast<double>(result.events_executed), elapsed, events_per_s,
+      sessions_per_s, result.summary.mean.inconsistency};
+  if (rss) {
+    const auto cell = [&](double v) {
+      return rss->resolved ? exp::Cell(v) : exp::Cell(std::string("-"));
+    };
+    cells.push_back(cell(rss->peak_mb));
+    cells.push_back(cell(rss->per_in_flight_b));
+  }
+  table.add_row(std::move(cells));
   json.farm.push_back({name, sessions, result.peak_sessions_in_flight,
                        result.events_executed, elapsed, events_per_s,
                        sessions_per_s, result.fabric_messages,
-                       result.fabric_rings});
+                       result.fabric_rings, rss});
 }
 
 void bench_farm(exp::Table& table, JsonReport& json, std::size_t sessions,
@@ -501,13 +589,14 @@ std::uint64_t metrics_digest(const std::vector<Metrics>& sessions) {
 /// Returns false when any configuration's per-session digest diverges.
 bool bench_farm_scale(exp::Table& table, exp::Table& check, JsonReport& json,
                       std::size_t sessions, std::size_t threads) {
+  const RssProbe probe;
   const auto start = Clock::now();
   const exp::SessionFarmResult measured =
       run_session_farm(ProtocolKind::kSSRT, SingleHopParams::kazaa_defaults(),
                        scale_options(sessions, threads));
   const double elapsed = seconds_since(start);
   add_farm_row(table, json, "scale SS+RT, 10s window", sessions, measured,
-               elapsed);
+               elapsed, probe.measure(measured.peak_sessions_in_flight));
   const std::uint64_t baseline = metrics_digest(measured.per_session);
   std::cout << "scale leg: " << sessions << " sessions, peak in flight "
             << measured.peak_sessions_in_flight << ", arena high water "
@@ -555,8 +644,10 @@ bool bench_farm_scale_xshard(exp::Table& table, JsonReport& json,
   const exp::SessionFarmResult result =
       run_session_farm(ProtocolKind::kSSRT, SingleHopParams::kazaa_defaults(),
                        options);
+  // Its footprint is not measured: this row runs after the relay-free row
+  // and its five determinism re-runs, whose high-water mark it stays under.
   add_farm_row(table, json, "scale SS+RT shared-relay", sessions + relays,
-               result, seconds_since(start));
+               result, seconds_since(start), RssFootprint{});
   std::cout << "xshard scale leg: " << relays << " relays x " << subscribers
             << " subscribers, peak in flight "
             << result.peak_sessions_in_flight << ", "
@@ -760,7 +851,8 @@ int main(int argc, char** argv) {
           "million-session leg (single-hop SS+RT, 10 s window, 300 s "
           "lifetimes)",
           {"workload", "sessions", "peak in flight", "events", "seconds",
-           "events/s", "sessions/s", "I (mean)"});
+           "events/s", "sessions/s", "I (mean)", "peak RSS MiB",
+           "RSS B/in-flight"});
       scale_ok = bench_farm_scale(scale, check, json, scale_sessions,
                                   engine.threads());
       if (scale_relays > 0) {

@@ -53,6 +53,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -110,6 +111,10 @@ void validate_options(const SessionFarmOptions& options) {
   if (options.shard_size == 0) {
     throw std::invalid_argument("SessionFarmOptions: shard_size must be > 0");
   }
+  // The channel delay law's shape, checked here (with DelayConfig's own
+  // messages) so that a bad law fails before any event runs; the mean is
+  // each params type's `delay`, which params.validate() checks.
+  sim::DelayConfig{options.delay_model, 0.0, options.delay_shape}.validate();
   options.leaf_churn.validate();
   options.scenario.validate();
   if (options.shared_relays == 0) return;
@@ -171,7 +176,7 @@ class FabricPort;
 /// half), its global index, and its private send counter -- the seq of the
 /// delivery stamp.  Per-SESSION, not per-ring or per-shard: only a counter
 /// keyed to the global index survives re-sharding unchanged, which is what
-/// keeps the stamp order shard-size-invariant.  Sessions hold this by
+/// keeps the stamp order shard-size-invariant.  Endpoints hold this by
 /// value; the FabricSend closures capture one pointer to it (so they stay
 /// inside the std::function small-buffer and sends never allocate).
 struct FabricCtx {
@@ -265,16 +270,16 @@ std::uint64_t session_seed(std::uint64_t base_seed,
   return replica_seed(base_seed, global_index, 0);
 }
 
-/// A single-hop session's randomness: six independent streams keyed to the
-/// session's global index, mirroring the stream layout of the single-hop
-/// harness (the relay stream is consumed only by fabric subscribers).
+/// A single-hop session's randomness: five independent streams keyed to
+/// the session's global index, mirroring the stream layout of the
+/// single-hop harness.  The sixth, kSessionRelay, lives with the fabric
+/// subscriber state (FabricSubscriber), since only subscribers consume it.
 struct SessionRngs {
   sim::Rng channel;
   sim::Rng sender;
   sim::Rng receiver;
   sim::Rng lifecycle;
   sim::Rng failure;
-  sim::Rng relay;
 
   SessionRngs(std::uint64_t base_seed, std::uint64_t global_index)
       : channel(session_seed(base_seed, global_index), rng::kSessionChannel),
@@ -282,8 +287,75 @@ struct SessionRngs {
         receiver(session_seed(base_seed, global_index), rng::kSessionReceiver),
         lifecycle(session_seed(base_seed, global_index),
                   rng::kSessionLifecycle),
-        failure(session_seed(base_seed, global_index), rng::kSessionFailure),
-        relay(session_seed(base_seed, global_index), rng::kSessionRelay) {}
+        failure(session_seed(base_seed, global_index), rng::kSessionFailure) {}
+};
+
+/// A fabric subscriber's state, kept out of line so that ring-free
+/// sessions carry none of it: its fabric identity, its kSessionRelay
+/// stream and the RelayClient that installs its state at relay session
+/// (self mod R).  Lives in its shard's side table, which only fabric runs
+/// allocate, at the session's local index; it never moves.
+struct FabricSubscriber {
+  FabricSubscriber(FabricPort& port, std::uint64_t self,
+                   const SessionFarmOptions& options,
+                   const protocols::NodeContext& node)
+      : ctx{&port, self, 0},
+        rng(session_seed(options.seed, self), rng::kSessionRelay),
+        client(*node.sim, rng, node.timers,
+               options.sessions + self % options.shared_relays,
+               [c = &ctx](std::uint64_t dest, const Message& m) {
+                 c->port->send(*c, dest, m);
+               }) {}
+
+  FabricCtx ctx;
+  sim::Rng rng;
+  protocols::RelayClient client;
+};
+
+/// A shard's subscriber side table, by local index; entries past the
+/// shard's last subscriber are not allocated.
+using FabricTable = std::vector<std::optional<FabricSubscriber>>;
+
+/// What a shard shares with every session it spawns, built once per shard
+/// and handed out by reference: the simulator, the run's parameters and
+/// options, the sink, the protocol nodes' NodeContext (mechanisms and
+/// timers) and -- single-hop farms only -- the validated channel
+/// configuration that every session's two channels point at.  Sessions
+/// keep one pointer to it instead of copies of their own.
+template <typename Params>
+struct ShardContext {
+  ShardContext(sim::Simulator& simulator, ProtocolKind protocol,
+               const Params& run_params, const SessionFarmOptions& run_options,
+               ShardSink& shard_sink)
+      : sim(simulator),
+        kind(protocol),
+        params(run_params),
+        options(run_options),
+        sink(shard_sink),
+        node{&simulator, mechanisms(protocol),
+             protocols::TimerSettings{run_options.timer_dist,
+                                      run_params.refresh_timer,
+                                      run_params.timeout_timer,
+                                      run_params.retrans_timer}} {
+    if constexpr (std::is_same_v<Params, SingleHopParams>) {
+      channel.emplace(simulator, run_params.loss_config(),
+                      sim::DelayConfig{run_options.delay_model,
+                                       run_params.delay,
+                                       run_options.delay_shape});
+    }
+  }
+
+  ShardContext(const ShardContext&) = delete;  ///< sessions point at it
+  ShardContext& operator=(const ShardContext&) = delete;  ///< non-copyable
+
+  sim::Simulator& sim;
+  ProtocolKind kind;
+  const Params& params;
+  const SessionFarmOptions& options;
+  ShardSink& sink;
+  protocols::NodeContext node;
+  std::optional<sim::ChannelConfig> channel;  ///< single-hop farms only
+  FabricTable* fabric = nullptr;  ///< fabric runs only: subscriber state
 };
 
 /// A tree session's seven streams, keyed to its global index.  The sender
@@ -320,111 +392,95 @@ double staggered_arrival(const SessionFarmOptions& options,
 /// One single-hop session: arrival -> install -> updates -> removal ->
 /// absorption, measured over [arrival, absorption].  A one-shot version of
 /// the renewal construction in protocols/single_hop_run.cpp, flattened for
-/// arena placement: channels and engines are direct members (every closure
-/// they store captures one pointer and stays inside its small-buffer
-/// storage), so constructing a session in a recycled slot allocates
-/// nothing.  Constructed INSIDE its own pre-scanned arrival event; the
-/// shard calls begin() immediately after.
+/// arena placement: channels and engines are direct members that point at
+/// the shard's ShardContext (simulator, mechanisms, timers, channel
+/// configuration) instead of carrying copies, callbacks are owner calls,
+/// timers are one-word TimerIds, and fabric subscriber state lives in the
+/// shard's side table -- so a session is a few hundred bytes of its own
+/// state (static_assert below), and constructing one in a recycled slot
+/// allocates nothing.  Constructed INSIDE its own pre-scanned arrival
+/// event; the shard calls begin() immediately after.
 class SingleHopSession {
  public:
+  using Context = ShardContext<SingleHopParams>;
+  /// Single-hop sessions have no leaves to churn.
+  static constexpr bool kReportsChurn = false;
+
   static double arrival_time(const SessionFarmOptions& options,
                              std::uint64_t global_index) {
     return staggered_arrival(options, global_index);
   }
 
-  SingleHopSession(sim::Simulator& sim, ProtocolKind kind,
-                   const SingleHopParams& params,
-                   const SessionFarmOptions& options,
-                   std::uint64_t global_index, ShardSink& sink,
+  SingleHopSession(const Context& shard, std::uint64_t global_index,
                    std::size_t local)
-      : sim_(sim),
-        params_(params),
-        options_(options),
-        mech_(mechanisms(kind)),
-        sink_(sink),
+      : shard_(&shard),
         local_(local),
-        rngs_(options.seed, global_index),
-        forward_(sim, rngs_.channel, params.loss_config(),
-                 sim::DelayConfig{options.delay_model, params.delay,
-                                  options.delay_shape},
-                 [this](const Message& m) { receiver_.handle(m); }),
-        reverse_(sim, rngs_.channel, params.loss_config(),
-                 sim::DelayConfig{options.delay_model, params.delay,
-                                  options.delay_shape},
-                 [this](const Message& m) { sender_.handle(m); }),
-        sender_(sim_, rngs_.sender, mech_,
-                protocols::TimerSettings{options.timer_dist,
-                                         params.refresh_timer,
-                                         params.timeout_timer,
-                                         params.retrans_timer},
-                forward_, [this] { on_change(); }),
-        receiver_(sim_, rngs_.receiver, mech_,
-                  protocols::TimerSettings{options.timer_dist,
-                                           params.refresh_timer,
-                                           params.timeout_timer,
-                                           params.retrans_timer},
-                  reverse_, [this] { on_change(); }) {
+        rngs_(shard.options.seed, global_index),
+        forward_(*shard.channel, rngs_.channel,
+                 MessageChannel::Delivery::bind<
+                     &protocols::ReceiverEngine::handle>(&receiver_)),
+        reverse_(*shard.channel, rngs_.channel,
+                 MessageChannel::Delivery::bind<
+                     &protocols::SenderEngine::handle>(&sender_)),
+        sender_(shard.node, rngs_.sender, forward_,
+                protocols::Hook::bind<&SingleHopSession::on_change>(this)),
+        receiver_(shard.node, rngs_.receiver, reverse_,
+                  protocols::Hook::bind<&SingleHopSession::on_change>(this)) {
     // Staggered Poisson arrivals: conditioned on N arrivals in the window,
     // arrival times are iid uniform over it -- and drawing from the
     // session's own stream keys the time to the global index alone.  The
     // draw repeats the pre-scan's (same stream, same first draw), so the
     // session materializes at exactly the time its arrival event fired.
-    const double window =
-        static_cast<double>(options.sessions) / options.arrival_rate;
+    const double window = static_cast<double>(shard.options.sessions) /
+                          shard.options.arrival_rate;
     arrival_ = window * rngs_.lifecycle.uniform();
-    lifetime_ = rngs_.lifecycle.exponential(options.session_lifetime);
+    lifetime_ = rngs_.lifecycle.exponential(shard.options.session_lifetime);
   }
 
   /// The arena slot this session occupies; handed back on retirement.
   void set_slot(std::uint32_t slot) noexcept { slot_ = slot; }
 
   /// Fabric runs only, before begin(): the first
-  /// shared_relays * subscribers_per_relay sessions wire a RelayClient that
-  /// installs their state at relay session (self mod R) across the
-  /// cross-shard fabric; the rest return false and stay off the fabric.
-  /// `self` is this session's global index -- the source half of every
-  /// outgoing stamp and the installed value.
+  /// shared_relays * subscribers_per_relay sessions build their
+  /// FabricSubscriber in the shard's side table; the rest return false and
+  /// stay off the fabric.  `self` is this session's global index -- the
+  /// source half of every outgoing stamp and the installed value.
   bool join_fabric(FabricPort& port, std::uint64_t self) {
-    const std::size_t relays = options_.shared_relays;
-    if (self >= relays * options_.subscribers_per_relay) return false;
-    fabric_ctx_ = FabricCtx{&port, self, 0};
-    relay_client_.emplace(
-        sim_, rngs_.relay,
-        protocols::TimerSettings{options_.timer_dist, params_.refresh_timer,
-                                 params_.timeout_timer,
-                                 params_.retrans_timer},
-        options_.sessions + self % relays,
-        [ctx = &fabric_ctx_](std::uint64_t dest, const Message& m) {
-          ctx->port->send(*ctx, dest, m);
-        });
+    const SessionFarmOptions& options = shard_->options;
+    if (self >= options.shared_relays * options.subscribers_per_relay) {
+      return false;
+    }
+    (*shard_->fabric)[local_].emplace(port, self, options, shard_->node);
     return true;
   }
 
   /// A fabric delivery addressed to this session (relay echoes); always
   /// accepted.
   bool deliver_fabric(const CrossShardEntry& entry) {
-    relay_client_->handle(entry.message);
+    subscriber()->client.handle(entry.message);
     return true;
   }
 
   /// Starts the session (the body of its arrival event).
   void begin() {
+    sim::Simulator& sim = shard_->sim;
     inconsistent_ = sim::TimeWeightedValue(arrival_);
     sender_.begin_epoch(1);
     receiver_.begin_epoch(1);
     sender_.install(++version_);
     schedule_update();
-    removal_event_ = sim_.schedule_in(lifetime_, [this] {
-      removal_event_.reset();
+    removal_event_ = sim.schedule_in(lifetime_, [this] {
+      removal_event_ = {};
       sender_removed_ = true;
       sender_.remove();
       check_absorption();
     });
-    if (mech_.external_failure_detector && params_.false_signal_rate > 0.0) {
+    if (shard_->node.mech.external_failure_detector &&
+        shard_->params.false_signal_rate > 0.0) {
       schedule_false_signal();
     }
-    if (relay_client_) {
-      relay_client_->start(static_cast<std::int64_t>(fabric_ctx_.source));
+    if (FabricSubscriber* sub = subscriber()) {
+      sub->client.start(static_cast<std::int64_t>(sub->ctx.source));
     }
     on_change();
   }
@@ -442,11 +498,20 @@ class SingleHopSession {
   }
 
  private:
+  /// This session's fabric state, or null when it is not a subscriber.
+  [[nodiscard]] FabricSubscriber* subscriber() const {
+    FabricTable* table = shard_->fabric;
+    if (table == nullptr || local_ >= table->size()) return nullptr;
+    std::optional<FabricSubscriber>& entry = (*table)[local_];
+    return entry ? &*entry : nullptr;
+  }
+
   void schedule_update() {
-    if (params_.update_rate <= 0.0) return;
-    update_event_ = sim_.schedule_in(
-        rngs_.lifecycle.exponential(1.0 / params_.update_rate), [this] {
-          update_event_.reset();
+    const double rate = shard_->params.update_rate;
+    if (rate <= 0.0) return;
+    update_event_ = shard_->sim.schedule_in(
+        rngs_.lifecycle.exponential(1.0 / rate), [this] {
+          update_event_ = {};
           if (!sender_removed_ && sender_.value()) {
             sender_.update(++version_);
           }
@@ -455,76 +520,71 @@ class SingleHopSession {
   }
 
   void schedule_false_signal() {
-    false_signal_event_ = sim_.schedule_in(
-        rngs_.failure.exponential(1.0 / params_.false_signal_rate), [this] {
-          false_signal_event_.reset();
+    false_signal_event_ = shard_->sim.schedule_in(
+        rngs_.failure.exponential(1.0 / shard_->params.false_signal_rate),
+        [this] {
+          false_signal_event_ = {};
           receiver_.external_removal_signal();
           schedule_false_signal();
         });
   }
 
-  void cancel(std::optional<sim::EventId>& id) {
-    if (id) {
-      sim_.cancel(*id);
-      id.reset();
-    }
-  }
-
   void on_change() {
     if (done_) return;
     const bool consistent = sender_.value() == receiver_.value();
-    inconsistent_.set(sim_.now(), consistent ? 0.0 : 1.0);
+    inconsistent_.set(shard_->sim.now(), consistent ? 0.0 : 1.0);
     check_absorption();
   }
 
   void check_absorption() {
     if (done_ || !sender_removed_ || receiver_.value()) return;
     done_ = true;
-    const double end = sim_.now();
+    sim::Simulator& sim = shard_->sim;
+    ShardSink& sink = shard_->sink;
+    const double end = sim.now();
     const double length = end - arrival_;
     // Counters frozen at absorption time, so results cannot depend on which
     // straggler events the shard's simulator happened to execute afterwards.
     std::uint64_t messages =
         forward_.counters().sent + reverse_.counters().sent;
-    if (relay_client_) {
+    if (FabricSubscriber* sub = subscriber()) {
       // Goodbye before the count: the REMOVE is part of the session's
       // priced traffic, and stop() also cancels the refresh timer so the
-      // recycled slot leaves no dangling event behind.
-      relay_client_->stop();
-      messages += relay_client_->messages_sent();
+      // finished session leaves no live event behind.
+      sub->client.stop();
+      messages += sub->client.messages_sent();
     }
     const auto sent = static_cast<double>(messages);
-    Metrics& metrics = sink_.metrics[local_];
+    Metrics& metrics = sink.metrics[local_];
     metrics.inconsistency = inconsistent_.mean(end);
     metrics.session_length = length;
     metrics.raw_message_rate = length > 0.0 ? sent / length : 0.0;
     // M-bar = (messages per session) * lambda_r, as in Eq. (2); the farm's
     // removal rate is 1 / mean lifetime.
-    metrics.message_rate = sent / options_.session_lifetime;
-    cancel(update_event_);
-    cancel(false_signal_event_);
-    cancel(removal_event_);
+    metrics.message_rate = sent / shard_->options.session_lifetime;
+    protocols::cancel_timer(sim, update_event_);
+    protocols::cancel_timer(sim, false_signal_event_);
+    protocols::cancel_timer(sim, removal_event_);
     // Jump both engines to a dead epoch: stragglers still in flight can no
     // longer resurrect state, re-arm timers or send replies -- which is
     // also what drives quiescent()'s in-flight counts to zero.
     sender_.begin_epoch(2);
     receiver_.begin_epoch(2);
-    sink_.end[local_] = end;
-    sink_.messages += messages;
-    sink_.receiver_timeouts += receiver_.timeouts();
-    ++sink_.completed;
-    sink_.retire(slot_, local_);
+    sink.end[local_] = end;
+    sink.messages += messages;
+    sink.receiver_timeouts += receiver_.timeouts();
+    ++sink.completed;
+    sink.retire(slot_, local_);
   }
 
-  sim::Simulator& sim_;
-  // The shard keeps params/options alive for the sessions' whole lifetime;
-  // 100k sessions should not hold 100k copies.
-  const SingleHopParams& params_;
-  const SessionFarmOptions& options_;
-  MechanismSet mech_;
-  ShardSink& sink_;
+  // The shard keeps its context (and the params/options behind it) alive
+  // for the sessions' whole lifetime; 100k sessions should not hold 100k
+  // copies.
+  const Context* shard_;
   std::size_t local_;
   std::uint32_t slot_ = 0;
+  bool sender_removed_ = false;
+  bool done_ = false;
   SessionRngs rngs_;
   MessageChannel forward_;
   MessageChannel reverse_;
@@ -534,17 +594,15 @@ class SingleHopSession {
   double arrival_ = 0.0;
   double lifetime_ = 0.0;
   std::int64_t version_ = 0;
-  bool sender_removed_ = false;
-  bool done_ = false;
   sim::TimeWeightedValue inconsistent_;
-  std::optional<sim::EventId> update_event_;
-  std::optional<sim::EventId> removal_event_;
-  std::optional<sim::EventId> false_signal_event_;
-  // Fabric runs only (both empty/inactive otherwise).  The optional holds
-  // the immovable RelayClient in place -- emplace-only, never moved.
-  FabricCtx fabric_ctx_;
-  std::optional<protocols::RelayClient> relay_client_;
+  sim::TimerId update_event_;
+  sim::TimerId removal_event_;
+  sim::TimerId false_signal_event_;
 };
+
+// At a million concurrent sessions every byte here is a megabyte resident.
+static_assert(sizeof(SingleHopSession) <= 1024,
+              "a single-hop farm session must fit in 1 KB");
 
 /// One farm tree session: a protocols::TreeSession -- the same class
 /// run_tree drives -- measured over the lifetime window
@@ -562,29 +620,32 @@ class SingleHopSession {
 /// scale leg is single-hop) that does not recycle anyway.
 class TreeSession {
  public:
+  using Context = ShardContext<analytic::TreeParams>;
+  /// Only tree sessions fill ShardSink::churn.
+  static constexpr bool kReportsChurn = true;
+
   static double arrival_time(const SessionFarmOptions& options,
                              std::uint64_t global_index) {
     return staggered_arrival(options, global_index);
   }
 
-  TreeSession(sim::Simulator& sim, ProtocolKind kind,
-              const analytic::TreeParams& params,
-              const SessionFarmOptions& options, std::uint64_t global_index,
-              ShardSink& sink, std::size_t local)
-      : sim_(sim),
-        params_(params),
-        options_(options),
-        sink_(sink),
+  TreeSession(const Context& shard, std::uint64_t global_index,
+              std::size_t local)
+      : sim_(shard.sim),
+        params_(shard.params),
+        options_(shard.options),
+        sink_(shard.sink),
         local_(local),
-        tree_(sim, kind, params, options.timer_dist, options.delay_model,
-              options.delay_shape, options.leaf_churn, options.scenario,
-              tree_streams(options.seed, global_index)) {
+        tree_(shard.sim, shard.kind, shard.params, shard.options.timer_dist,
+              shard.options.delay_model, shard.options.delay_shape,
+              shard.options.leaf_churn, shard.options.scenario,
+              tree_streams(shard.options.seed, global_index)) {
     // The lifecycle stream's first draw is the arrival the shard's
     // pre-scan already scheduled (this constructor runs inside that
     // event); the second is the lifetime.  Updates continue the stream.
     sim::Rng& lifecycle = tree_.lifecycle_rng();
     (void)lifecycle.uniform();
-    lifetime_ = lifecycle.exponential(options.session_lifetime);
+    lifetime_ = lifecycle.exponential(shard.options.session_lifetime);
   }
 
   /// Trees never retire, so the slot is not kept.
@@ -674,24 +735,22 @@ class RelaySession {
     return 0.0;
   }
 
-  /// `params` is the farm's parameter set; the hub reads only its timers
-  /// (every farm params type carries them, so one shard template serves
-  /// all farms -- only single-hop farms ever construct relays).
+  static constexpr bool kReportsChurn = false;
+
+  /// The hub reads only the shard's mechanisms and timers (every farm
+  /// params type carries them, so one shard template serves all farms --
+  /// only single-hop farms ever construct relays).
   template <typename Params>
-  RelaySession(sim::Simulator& sim, ProtocolKind kind, const Params& params,
-               const SessionFarmOptions& options, std::uint64_t global_index,
-               ShardSink& sink, std::size_t local)
-      : sim_(sim),
-        sink_(sink),
+  RelaySession(const ShardContext<Params>& shard, std::uint64_t global_index,
+               std::size_t local)
+      : sim_(shard.sim),
+        sink_(shard.sink),
         local_(local),
-        rng_(replica_seed(options.seed, global_index, 0), rng::kSessionRelay),
+        rng_(replica_seed(shard.options.seed, global_index, 0),
+             rng::kSessionRelay),
         fabric_ctx_{nullptr, global_index, 0},
-        hub_(sim, rng_, mechanisms(kind),
-             protocols::TimerSettings{options.timer_dist,
-                                      params.refresh_timer,
-                                      params.timeout_timer,
-                                      params.retrans_timer},
-             subscribers_of(options, global_index),
+        hub_(shard.sim, rng_, shard.node.mech, shard.node.timers,
+             subscribers_of(shard.options, global_index),
              [this](std::uint64_t dest, const Message& m) {
                fabric_ctx_.port->send(fabric_ctx_, dest, m);
              },
@@ -821,13 +880,14 @@ SessionFarmResult aggregate_outcomes(const std::vector<ShardSink>& outcomes,
 /// runs) or advance_to()/drain_incoming() (fabric runs) until complete().
 ///
 /// Per-session-type behavior comes from `Session`, never from the shard:
-/// the arrival time (static arrival_time(options, global_index)), whether a
-/// session rides the fabric (join_fabric, called between construction and
-/// begin() in fabric runs only) and what a delivery does (deliver_fabric,
-/// false = dropped).  Every session type also provides the shared
-/// (sim, kind, params, options, global_index, sink, local) constructor,
-/// set_slot(), begin() and the arena's quiescent().  A ring-free shard has
-/// no fabric port and allocates nothing for the fabric.
+/// the arrival time (static arrival_time(options, global_index)), whether
+/// the session fills a churn report (kReportsChurn), whether it rides the
+/// fabric (join_fabric, called between construction and begin() in fabric
+/// runs only) and what a delivery does (deliver_fabric, false = dropped).
+/// Every session type also provides the shared
+/// (ShardContext, global_index, local) constructor, set_slot(), begin()
+/// and the arena's quiescent().  A ring-free shard has no fabric port and
+/// allocates nothing for the fabric.
 template <typename Session, typename Params>
 class FarmShard {
  public:
@@ -835,14 +895,12 @@ class FarmShard {
   FarmShard(ProtocolKind kind, const Params& params,
             const SessionFarmOptions& options, const ShardMap& map,
             std::size_t shard, CrossShardFabric* fabric)
-      : kind_(kind),
-        params_(params),
-        options_(options),
-        first_(map.first(shard)),
+      : first_(map.first(shard)),
         count_(map.count(shard)),
+        context_(sim_, kind, params, options, sink_),
         arena_(count_) {
     sink_.metrics.resize(count_);
-    sink_.churn.resize(count_);
+    if constexpr (Session::kReportsChurn) sink_.churn.resize(count_);
     sink_.arrival.resize(count_);
     sink_.end.resize(count_);
     sink_.retire = [this](std::uint32_t slot, std::size_t local) {
@@ -852,6 +910,14 @@ class FarmShard {
     if (fabric != nullptr) {
       port_.emplace(sim_, *fabric, static_cast<std::uint32_t>(shard), map);
       endpoints_.assign(count_, nullptr);
+      // Side-table entries for this shard's subscribers: global indices
+      // [0, participating) subscribe, so they are a prefix of local ones.
+      const std::size_t participating =
+          options.shared_relays * options.subscribers_per_relay;
+      fabric_table_ = FabricTable(
+          first_ < participating ? std::min(count_, participating - first_)
+                                 : 0);
+      context_.fabric = &fabric_table_;
     }
     // Arrival pre-scan: push one arrival event per session, in session
     // order, at the time the session will re-derive for itself at spawn.
@@ -914,8 +980,7 @@ class FarmShard {
 
  private:
   void spawn(std::uint64_t global_index, std::size_t local) {
-    const auto [slot, session] = arena_.spawn(
-        sim_, kind_, params_, options_, global_index, sink_, local);
+    const auto [slot, session] = arena_.spawn(context_, global_index, local);
     session->set_slot(slot);
     if (port_ && session->join_fabric(*port_, global_index)) {
       endpoints_[local] = session;
@@ -938,17 +1003,16 @@ class FarmShard {
     inbox_.clear();
   }
 
-  ProtocolKind kind_;
-  const Params& params_;
-  const SessionFarmOptions& options_;
   std::size_t first_;  ///< global index of local session 0
   std::size_t count_;
   ShardSink sink_;
   sim::Simulator sim_;
-  // Declared after sim_ so sessions are destroyed BEFORE the simulator
-  // (their destructors may cancel events); pending closures that still
-  // point at destroyed sessions are merely destroyed with the queue, never
-  // invoked.
+  ShardContext<Params> context_;  ///< every session points at it
+  FabricTable fabric_table_;      ///< fabric runs only (empty otherwise)
+  // Declared after sim_ and context_ so sessions are destroyed BEFORE the
+  // simulator and the context (their destructors may cancel events);
+  // pending closures that still point at destroyed sessions are merely
+  // destroyed with the queue, never invoked.
   SessionArena<Session> arena_;
   // Fabric runs only (empty/null otherwise).
   std::optional<FabricPort> port_;

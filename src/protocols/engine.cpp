@@ -7,27 +7,27 @@ namespace sigcomp::protocols {
 
 // ---------------------------------------------------------------- sender --
 
+SenderEngine::SenderEngine(const NodeContext& ctx, sim::Rng& rng,
+                           MessageChannel& out, Hook on_change) noexcept
+    : ctx_(&ctx), rng_(&rng), out_(&out), on_change_(on_change),
+      slot_(ctx, rng) {}
+
 SenderEngine::SenderEngine(sim::Simulator& sim, sim::Rng& rng,
                            MechanismSet mechanisms, TimerSettings timers,
                            MessageChannel& out, std::function<void()> on_change)
-    : sim_(sim),
-      rng_(rng),
-      mech_(mechanisms),
-      timers_(timers),
-      out_(out),
-      on_change_(std::move(on_change)),
-      slot_(sim, rng, mechanisms, timers, nullptr) {}
+    : SenderEngine(std::make_unique<OwnedContext>(OwnedContext{
+                       NodeContext{&sim, mechanisms, timers},
+                       std::move(on_change)}),
+                   rng, out) {}
 
-void SenderEngine::notify() {
-  if (on_change_) on_change_();
-}
-
-void SenderEngine::cancel(std::optional<sim::EventId>& id) {
-  if (id) {
-    sim_.cancel(*id);
-    id.reset();
-  }
-}
+SenderEngine::SenderEngine(std::unique_ptr<OwnedContext> owned, sim::Rng& rng,
+                           MessageChannel& out)
+    : owned_(std::move(owned)),
+      ctx_(&owned_->ctx),
+      rng_(&rng),
+      out_(&out),
+      on_change_(owned_->hook()),
+      slot_(owned_->ctx, rng) {}
 
 void SenderEngine::begin_epoch(std::uint64_t epoch) {
   reset();
@@ -44,10 +44,12 @@ void SenderEngine::reset() {
 }
 
 void SenderEngine::send_trigger() {
-  out_.send(Message{MessageType::kTrigger, *slot_.value(), trigger_seq_, epoch_});
-  if (mech_.reliable_trigger) {
+  out_->send(
+      Message{MessageType::kTrigger, *slot_.value(), trigger_seq_, epoch_});
+  if (ctx_->mech.reliable_trigger) {
     awaiting_trigger_ack_ = true;
-    trigger_retrans_interval_ = timers_.retrans;  // fresh content: reset stage
+    // Fresh content: reset the stage.
+    trigger_retrans_interval_ = ctx_->timers.retrans;
     arm_trigger_retrans();
   }
 }
@@ -59,8 +61,8 @@ void SenderEngine::install(std::int64_t value) {
   removal_pending_ = false;
   cancel(removal_retrans_timer_);
   send_trigger();
-  if (mech_.refresh && !refresh_timer_) arm_refresh();
-  notify();
+  if (ctx_->mech.refresh && !refresh_timer_) arm_refresh();
+  on_change_();
 }
 
 void SenderEngine::update(std::int64_t value) {
@@ -71,7 +73,7 @@ void SenderEngine::update(std::int64_t value) {
   slot_.set(value);
   trigger_seq_ = next_seq_++;
   send_trigger();  // re-arms a pending trigger retransmission in place
-  notify();
+  on_change_();
 }
 
 void SenderEngine::remove() {
@@ -79,16 +81,16 @@ void SenderEngine::remove() {
   cancel(refresh_timer_);
   cancel(trigger_retrans_timer_);
   awaiting_trigger_ack_ = false;
-  if (mech_.explicit_removal) {
+  if (ctx_->mech.explicit_removal) {
     removal_seq_ = next_seq_++;
-    out_.send(Message{MessageType::kRemove, 0, removal_seq_, epoch_});
-    if (mech_.reliable_removal) {
+    out_->send(Message{MessageType::kRemove, 0, removal_seq_, epoch_});
+    if (ctx_->mech.reliable_removal) {
       removal_pending_ = true;
-      removal_retrans_interval_ = timers_.retrans;
+      removal_retrans_interval_ = ctx_->timers.retrans;
       arm_removal_retrans();
     }
   }
-  notify();
+  on_change_();
 }
 
 void SenderEngine::crash() {
@@ -98,18 +100,20 @@ void SenderEngine::crash() {
   cancel(removal_retrans_timer_);
   awaiting_trigger_ack_ = false;
   removal_pending_ = false;
-  notify();
+  on_change_();
 }
 
 void SenderEngine::arm_refresh() {
-  refresh_timer_ = sim_.schedule_in(
-      sim::sample(rng_, timers_.dist, timers_.refresh), [this] { on_refresh_timer(); });
+  refresh_timer_ = ctx_->sim->schedule_in(
+      sim::sample(*rng_, ctx_->timers.dist, ctx_->timers.refresh),
+      [this] { on_refresh_timer(); });
 }
 
 void SenderEngine::on_refresh_timer() {
-  refresh_timer_.reset();
+  refresh_timer_ = {};
   if (!slot_.value()) return;
-  out_.send(Message{MessageType::kRefresh, *slot_.value(), trigger_seq_, epoch_});
+  out_->send(
+      Message{MessageType::kRefresh, *slot_.value(), trigger_seq_, epoch_});
   arm_refresh();
 }
 
@@ -124,30 +128,33 @@ double next_stage(double current, const TimerSettings& timers) {
 }  // namespace
 
 void SenderEngine::arm_trigger_retrans() {
-  rearm_timer(sim_, trigger_retrans_timer_,
-              sim::sample(rng_, timers_.dist, trigger_retrans_interval_),
+  rearm_timer(*ctx_->sim, trigger_retrans_timer_,
+              sim::sample(*rng_, ctx_->timers.dist, trigger_retrans_interval_),
               [this] { on_trigger_retrans(); });
 }
 
 void SenderEngine::on_trigger_retrans() {
-  trigger_retrans_timer_.reset();
+  trigger_retrans_timer_ = {};
   if (!slot_.value() || !awaiting_trigger_ack_) return;
-  out_.send(Message{MessageType::kTrigger, *slot_.value(), trigger_seq_, epoch_});
-  trigger_retrans_interval_ = next_stage(trigger_retrans_interval_, timers_);
+  out_->send(
+      Message{MessageType::kTrigger, *slot_.value(), trigger_seq_, epoch_});
+  trigger_retrans_interval_ =
+      next_stage(trigger_retrans_interval_, ctx_->timers);
   arm_trigger_retrans();
 }
 
 void SenderEngine::arm_removal_retrans() {
-  rearm_timer(sim_, removal_retrans_timer_,
-              sim::sample(rng_, timers_.dist, removal_retrans_interval_),
+  rearm_timer(*ctx_->sim, removal_retrans_timer_,
+              sim::sample(*rng_, ctx_->timers.dist, removal_retrans_interval_),
               [this] { on_removal_retrans(); });
 }
 
 void SenderEngine::on_removal_retrans() {
-  removal_retrans_timer_.reset();
+  removal_retrans_timer_ = {};
   if (!removal_pending_) return;
-  out_.send(Message{MessageType::kRemove, 0, removal_seq_, epoch_});
-  removal_retrans_interval_ = next_stage(removal_retrans_interval_, timers_);
+  out_->send(Message{MessageType::kRemove, 0, removal_seq_, epoch_});
+  removal_retrans_interval_ =
+      next_stage(removal_retrans_interval_, ctx_->timers);
   arm_removal_retrans();
 }
 
@@ -181,21 +188,29 @@ void SenderEngine::handle(const Message& msg) {
 
 // -------------------------------------------------------------- receiver --
 
+ReceiverEngine::ReceiverEngine(const NodeContext& ctx, sim::Rng& rng,
+                               MessageChannel& out, Hook on_change) noexcept
+    : ctx_(&ctx),
+      out_(&out),
+      on_change_(on_change),
+      slot_(ctx, rng, Hook::bind<&ReceiverEngine::on_expire>(this)) {}
+
 ReceiverEngine::ReceiverEngine(sim::Simulator& sim, sim::Rng& rng,
                                MechanismSet mechanisms, TimerSettings timers,
                                MessageChannel& out,
                                std::function<void()> on_change)
-    : sim_(sim),
-      rng_(rng),
-      mech_(mechanisms),
-      timers_(timers),
-      out_(out),
-      on_change_(std::move(on_change)),
-      slot_(sim, rng, mechanisms, timers, [this] { on_expire(); }) {}
+    : ReceiverEngine(std::make_unique<OwnedContext>(OwnedContext{
+                         NodeContext{&sim, mechanisms, timers},
+                         std::move(on_change)}),
+                     rng, out) {}
 
-void ReceiverEngine::notify() {
-  if (on_change_) on_change_();
-}
+ReceiverEngine::ReceiverEngine(std::unique_ptr<OwnedContext> owned,
+                               sim::Rng& rng, MessageChannel& out)
+    : owned_(std::move(owned)),
+      ctx_(&owned_->ctx),
+      out_(&out),
+      on_change_(owned_->hook()),
+      slot_(owned_->ctx, rng, Hook::bind<&ReceiverEngine::on_expire>(this)) {}
 
 void ReceiverEngine::begin_epoch(std::uint64_t epoch) {
   reset();
@@ -209,18 +224,18 @@ void ReceiverEngine::reset() {
 /// The soft-state timeout fired and the slot dropped the value: emit the
 /// (possibly false-) removal notification if the protocol has one.
 void ReceiverEngine::on_expire() {
-  if (mech_.removal_notification) {
-    out_.send(Message{MessageType::kNotice, 0, 0, epoch_});
+  if (ctx_->mech.removal_notification) {
+    out_->send(Message{MessageType::kNotice, 0, 0, epoch_});
   }
-  notify();
+  on_change_();
 }
 
 void ReceiverEngine::external_removal_signal() {
   if (!slot_.clear()) return;
-  if (mech_.removal_notification) {
-    out_.send(Message{MessageType::kNotice, 0, 0, epoch_});
+  if (ctx_->mech.removal_notification) {
+    out_->send(Message{MessageType::kNotice, 0, 0, epoch_});
   }
-  notify();
+  on_change_();
 }
 
 void ReceiverEngine::handle(const Message& msg) {
@@ -228,24 +243,24 @@ void ReceiverEngine::handle(const Message& msg) {
   switch (msg.type) {
     case MessageType::kTrigger:
       slot_.set(msg.value);
-      if (mech_.reliable_trigger) {
-        out_.send(Message{MessageType::kAckTrigger, 0, msg.seq, epoch_});
+      if (ctx_->mech.reliable_trigger) {
+        out_->send(Message{MessageType::kAckTrigger, 0, msg.seq, epoch_});
       }
       slot_.arm_timeout();
-      notify();
+      on_change_();
       break;
     case MessageType::kRefresh:
       slot_.set(msg.value);
       slot_.arm_timeout();
-      notify();
+      on_change_();
       break;
     case MessageType::kRemove:
       // Idempotent: always acknowledge so a lost ACK is repaired by the
       // sender's retransmission.
-      if (mech_.reliable_removal) {
-        out_.send(Message{MessageType::kAckRemove, 0, msg.seq, epoch_});
+      if (ctx_->mech.reliable_removal) {
+        out_->send(Message{MessageType::kAckRemove, 0, msg.seq, epoch_});
       }
-      if (slot_.clear()) notify();
+      if (slot_.clear()) on_change_();
       break;
     default:
       break;

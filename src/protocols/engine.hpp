@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 
 #include "core/protocol.hpp"
@@ -23,6 +24,18 @@
 
 namespace sigcomp::protocols {
 
+/// What a standalone engine owns: its NodeContext and its std::function
+/// change hook.  Engines built on a shared context (the session farm) point
+/// at that instead and own nothing.
+struct OwnedContext {
+  NodeContext ctx;                  ///< the engine's private context
+  std::function<void()> on_change;  ///< may be empty
+  /// The change hook as an owner call (the no-op hook when empty).
+  [[nodiscard]] Hook hook() {
+    return on_change ? Hook::to(&on_change) : Hook{};
+  }
+};
+
 /// The signaling sender ("state installer").
 ///
 /// Drives triggers, refreshes, retransmissions and explicit removals
@@ -30,8 +43,14 @@ namespace sigcomp::protocols {
 /// state value changes (the consistency monitor hooks in there).
 class SenderEngine {
  public:
-  /// Wires the sender to its outgoing channel; `on_change` (may be null)
-  /// fires on every local state change.
+  /// Wires the sender to its outgoing channel over a shared context;
+  /// `ctx`, `rng` and `out` must outlive it.  `on_change` fires on every
+  /// local state change.
+  SenderEngine(const NodeContext& ctx, sim::Rng& rng, MessageChannel& out,
+               Hook on_change = {}) noexcept;
+
+  /// Standalone form: owns a context built from the arguments;
+  /// `on_change` (may be null) fires on every local state change.
   SenderEngine(sim::Simulator& sim, sim::Rng& rng, MechanismSet mechanisms,
                TimerSettings timers, MessageChannel& out,
                std::function<void()> on_change);
@@ -81,15 +100,16 @@ class SenderEngine {
   void on_trigger_retrans();
   void arm_removal_retrans();
   void on_removal_retrans();
-  void cancel(std::optional<sim::EventId>& id);
-  void notify();
+  void cancel(sim::TimerId& id) { cancel_timer(*ctx_->sim, id); }
 
-  sim::Simulator& sim_;
-  sim::Rng& rng_;
-  MechanismSet mech_;
-  TimerSettings timers_;
-  MessageChannel& out_;
-  std::function<void()> on_change_;
+  SenderEngine(std::unique_ptr<OwnedContext> owned, sim::Rng& rng,
+               MessageChannel& out);
+
+  std::unique_ptr<OwnedContext> owned_;  ///< standalone form only
+  const NodeContext* ctx_;
+  sim::Rng* rng_;
+  MessageChannel* out_;
+  Hook on_change_;
 
   /// The authoritative root copy: never armed, so it cannot time out.
   StateSlot slot_;
@@ -97,20 +117,26 @@ class SenderEngine {
   std::uint64_t next_seq_ = 1;
   std::uint64_t trigger_seq_ = 0;   ///< seq of the latest trigger content
   std::uint64_t removal_seq_ = 0;
-  bool awaiting_trigger_ack_ = false;
-  bool removal_pending_ = false;
-  std::optional<sim::EventId> refresh_timer_;
-  std::optional<sim::EventId> trigger_retrans_timer_;
-  std::optional<sim::EventId> removal_retrans_timer_;
   double trigger_retrans_interval_ = 0.0;
   double removal_retrans_interval_ = 0.0;
+  sim::TimerId refresh_timer_;
+  sim::TimerId trigger_retrans_timer_;
+  sim::TimerId removal_retrans_timer_;
+  bool awaiting_trigger_ack_ = false;
+  bool removal_pending_ = false;
 };
 
 /// The signaling receiver ("state holder").
 class ReceiverEngine {
  public:
-  /// Wires the receiver to its outgoing (toward-sender) channel; `on_change`
-  /// (may be null) fires on every local state change.
+  /// Wires the receiver to its outgoing (toward-sender) channel over a
+  /// shared context; `ctx`, `rng` and `out` must outlive it.  `on_change`
+  /// fires on every local state change.
+  ReceiverEngine(const NodeContext& ctx, sim::Rng& rng, MessageChannel& out,
+                 Hook on_change = {}) noexcept;
+
+  /// Standalone form: owns a context built from the arguments;
+  /// `on_change` (may be null) fires on every local state change.
   ReceiverEngine(sim::Simulator& sim, sim::Rng& rng, MechanismSet mechanisms,
                  TimerSettings timers, MessageChannel& out,
                  std::function<void()> on_change);
@@ -145,14 +171,14 @@ class ReceiverEngine {
 
  private:
   void on_expire();
-  void notify();
 
-  sim::Simulator& sim_;
-  sim::Rng& rng_;
-  MechanismSet mech_;
-  TimerSettings timers_;
-  MessageChannel& out_;
-  std::function<void()> on_change_;
+  ReceiverEngine(std::unique_ptr<OwnedContext> owned, sim::Rng& rng,
+                 MessageChannel& out);
+
+  std::unique_ptr<OwnedContext> owned_;  ///< standalone form only
+  const NodeContext* ctx_;
+  MessageChannel* out_;
+  Hook on_change_;
 
   /// The held copy plus its soft-state timeout (the mechanism core).
   StateSlot slot_;

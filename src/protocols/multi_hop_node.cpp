@@ -6,32 +6,28 @@ namespace sigcomp::protocols {
 
 // ------------------------------------------------------------ TreeSender --
 
-TreeSender::TreeSender(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
-                       TimerSettings timers,
-                       std::vector<MessageChannel*> down,
-                       std::function<void()> on_change)
-    : sim_(sim),
-      rng_(rng),
-      mech_(mech),
-      timers_(timers),
+TreeSender::TreeSender(const NodeContext& ctx, sim::Rng& rng,
+                       std::vector<MessageChannel*> down, Hook on_change)
+    : ctx_(&ctx),
+      rng_(&rng),
       down_(std::move(down)),
-      on_change_(std::move(on_change)),
+      on_change_(on_change),
       child_active_(down_.size(), 1),
       child_installed_(down_.size(), 0),
-      slot_(sim, rng, mech, timers, nullptr) {
+      slot_(ctx, rng) {
   // Sized once, before any timer can be armed: slots capture `this`-stable
   // addresses in their retransmission closures, so the vector must never
   // reallocate afterwards.
   reliable_down_.reserve(down_.size());
   for (MessageChannel* channel : down_) {
-    reliable_down_.emplace_back(sim, rng, timers.dist, timers.retrans, channel);
+    reliable_down_.emplace_back(ctx, rng, channel);
   }
 }
 
 void TreeSender::send_trigger_to(std::size_t c) {
   const Message msg{MessageType::kTrigger, *slot_.value(), trigger_seq_, 0};
   child_installed_[c] = 1;
-  if (mech_.reliable_trigger) {
+  if (ctx_->mech.reliable_trigger) {
     reliable_down_[c].send(msg);
   } else {
     down_[c]->send(msg);
@@ -48,8 +44,8 @@ void TreeSender::start(std::int64_t value) {
   slot_.set(value);
   trigger_seq_ = next_seq_++;
   send_trigger();
-  if (mech_.refresh && !refresh_timer_) arm_refresh();
-  if (on_change_) on_change_();
+  if (ctx_->mech.refresh && !refresh_timer_) arm_refresh();
+  on_change_();
 }
 
 void TreeSender::update(std::int64_t value) {
@@ -60,13 +56,13 @@ void TreeSender::update(std::int64_t value) {
   slot_.set(value);
   trigger_seq_ = next_seq_++;
   send_trigger();
-  if (on_change_) on_change_();
+  on_change_();
 }
 
 void TreeSender::arm_refresh() {
-  refresh_timer_ = sim_.schedule_in(
-      sim::sample(rng_, timers_.dist, timers_.refresh), [this] {
-        refresh_timer_.reset();
+  refresh_timer_ = ctx_->sim->schedule_in(
+      sim::sample(*rng_, ctx_->timers.dist, ctx_->timers.refresh), [this] {
+        refresh_timer_ = {};
         if (slot_.value()) {
           const Message msg{MessageType::kRefresh, *slot_.value(),
                             trigger_seq_, 0};
@@ -85,7 +81,7 @@ void TreeSender::arm_refresh() {
 /// effort -- with the pending trigger cancelled -- otherwise.
 void TreeSender::send_removal_to(std::size_t c, std::uint64_t seq) {
   const Message msg{MessageType::kRemove, 0, seq, 0};
-  if (mech_.reliable_removal) {
+  if (ctx_->mech.reliable_removal) {
     reliable_down_[c].send(msg);
   } else {
     reliable_down_[c].cancel();
@@ -95,11 +91,8 @@ void TreeSender::send_removal_to(std::size_t c, std::uint64_t seq) {
 
 void TreeSender::remove() {
   if (!slot_.clear()) return;
-  if (refresh_timer_) {
-    sim_.cancel(*refresh_timer_);
-    refresh_timer_.reset();
-  }
-  if (mech_.explicit_removal) {
+  cancel_timer(*ctx_->sim, refresh_timer_);
+  if (ctx_->mech.explicit_removal) {
     // One removal, fanned down every branch that was ever installed; each
     // per-child reliable slot matches its own ACK against the shared seq.
     const std::uint64_t seq = next_seq_++;
@@ -114,7 +107,7 @@ void TreeSender::remove() {
   } else {
     for (ReliableSlot& slot : reliable_down_) slot.cancel();
   }
-  if (on_change_) on_change_();
+  on_change_();
 }
 
 void TreeSender::graft_child(std::size_t c) {
@@ -129,7 +122,7 @@ void TreeSender::deactivate_child(std::size_t c) {
 
 void TreeSender::prune_child(std::size_t c) {
   deactivate_child(c);
-  if (mech_.explicit_removal && child_installed_[c]) {
+  if (ctx_->mech.explicit_removal && child_installed_[c]) {
     child_installed_[c] = 0;
     send_removal_to(c, next_seq_++);
   }
@@ -137,10 +130,7 @@ void TreeSender::prune_child(std::size_t c) {
 
 void TreeSender::stop() {
   slot_.clear();
-  if (refresh_timer_) {
-    sim_.cancel(*refresh_timer_);
-    refresh_timer_.reset();
-  }
+  cancel_timer(*ctx_->sim, refresh_timer_);
   for (ReliableSlot& slot : reliable_down_) slot.cancel();
 }
 
@@ -155,7 +145,7 @@ void TreeSender::handle_from_downstream(const Message& msg, std::size_t child) {
       // re-install.  Under HS the notice traveled reliably, so acknowledge.
       // The fresh trigger goes down every branch: relays that still hold
       // the value re-ack the duplicate without re-forwarding it.
-      if (mech_.external_failure_detector) {
+      if (ctx_->mech.external_failure_detector) {
         down_[child]->send(Message{MessageType::kAckNotice, 0, msg.seq, 0});
       }
       if (slot_.value()) {
@@ -170,45 +160,36 @@ void TreeSender::handle_from_downstream(const Message& msg, std::size_t child) {
 
 // ------------------------------------------------------------- TreeRelay --
 
-TreeRelay::TreeRelay(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
-                     TimerSettings timers, MessageChannel* up,
-                     std::vector<MessageChannel*> down,
-                     std::function<void()> on_change)
-    : sim_(sim),
-      rng_(rng),
-      mech_(mech),
-      timers_(timers),
+TreeRelay::TreeRelay(const NodeContext& ctx, sim::Rng& rng, MessageChannel* up,
+                     std::vector<MessageChannel*> down, Hook on_change)
+    : ctx_(&ctx),
       up_(up),
       down_(std::move(down)),
-      on_change_(std::move(on_change)),
-      reliable_up_(sim, rng, timers.dist, timers.retrans, up),
+      on_change_(on_change),
+      reliable_up_(ctx, rng, up),
       child_active_(down_.size(), 1),
       child_installed_(down_.size(), 0),
-      slot_(sim, rng, mech, timers, [this] { on_expire(); }) {
+      slot_(ctx, rng, Hook::bind<&TreeRelay::on_expire>(this)) {
   reliable_down_.reserve(down_.size());  // fixed size; see TreeSender
   for (MessageChannel* channel : down_) {
-    reliable_down_.emplace_back(sim, rng, timers.dist, timers.retrans, channel);
+    reliable_down_.emplace_back(ctx, rng, channel);
   }
-}
-
-void TreeRelay::notify() {
-  if (on_change_) on_change_();
 }
 
 /// The soft-state timeout fired and the slot dropped the value: emit the
 /// one-hop repair notice where the protocol has removal notification.
 void TreeRelay::on_expire() {
-  if (mech_.removal_notification) {
+  if (ctx_->mech.removal_notification) {
     // One-hop repair notice (SS+RT): the upstream neighbor re-triggers.
     up_->send(Message{MessageType::kNotice, 0, 0, 0});
   }
-  notify();
+  on_change_();
 }
 
 void TreeRelay::forward_trigger_to(std::size_t child, std::int64_t value) {
   const Message msg{MessageType::kTrigger, value, next_seq_++, 0};
   child_installed_[child] = 1;
-  if (mech_.reliable_trigger) {
+  if (ctx_->mech.reliable_trigger) {
     reliable_down_[child].send(msg);
   } else {
     down_[child]->send(msg);
@@ -224,7 +205,7 @@ void TreeRelay::forward_trigger(std::int64_t value) {
 /// Emits one removal down child edge c (see TreeSender::send_removal_to).
 void TreeRelay::send_removal_to(std::size_t c, std::uint64_t seq) {
   const Message msg{MessageType::kRemove, 0, seq, 0};
-  if (mech_.reliable_removal) {
+  if (ctx_->mech.reliable_removal) {
     reliable_down_[c].send(msg);
   } else {
     reliable_down_[c].cancel();
@@ -260,7 +241,7 @@ void TreeRelay::prune_child(std::size_t c) {
   // soft-state timeouts (or to the removal that chases them after
   // recovery).
   if (crashed_) return;
-  if (mech_.explicit_removal && child_installed_[c]) {
+  if (ctx_->mech.explicit_removal && child_installed_[c]) {
     child_installed_[c] = 0;
     send_removal_to(c, next_seq_++);
   }
@@ -271,7 +252,7 @@ void TreeRelay::handle_from_upstream(const Message& msg) {
   switch (msg.type) {
     case MessageType::kTrigger: {
       const bool duplicate = slot_.holds(msg.value);
-      if (mech_.reliable_trigger) {
+      if (ctx_->mech.reliable_trigger) {
         up_->send(Message{MessageType::kAckTrigger, 0, msg.seq, 0});
       }
       slot_.set(msg.value);
@@ -280,7 +261,7 @@ void TreeRelay::handle_from_upstream(const Message& msg) {
       // re-forwarded: the downstream copies are already in flight or pending.
       if (!duplicate) {
         forward_trigger(msg.value);
-        notify();
+        on_change_();
       }
       break;
     }
@@ -293,14 +274,14 @@ void TreeRelay::handle_from_upstream(const Message& msg) {
         child_installed_[c] = 1;
         down_[c]->send(msg);
       }
-      notify();
+      on_change_();
       break;
     case MessageType::kRemove:
       // Graceful explicit removal (SS+ER best effort; SS+RTR/HS reliable).
       // Always re-ACK so a lost ACK is repaired by the retransmission, but
       // propagate only once per removal seq -- a retransmitted removal must
       // not re-flood the subtree.
-      if (mech_.reliable_removal) {
+      if (ctx_->mech.reliable_removal) {
         up_->send(Message{MessageType::kAckRemove, 0, msg.seq, 0});
       }
       // The parent's seq counter is monotonic, so anything at or below the
@@ -309,13 +290,13 @@ void TreeRelay::handle_from_upstream(const Message& msg) {
       if (removal_seen_ && msg.seq <= removal_seq_seen_) break;
       removal_seen_ = true;
       removal_seq_seen_ = msg.seq;
-      if (slot_.clear()) notify();
+      if (slot_.clear()) on_change_();
       forward_removal();
       break;
     case MessageType::kTeardown:
       // Reliable downstream propagation of a removal signal (HS recovery).
       up_->send(Message{MessageType::kAckNotice, 0, msg.seq, 0});
-      if (slot_.clear()) notify();
+      if (slot_.clear()) on_change_();
       for (std::size_t c = 0; c < down_.size(); ++c) {
         child_installed_[c] = 0;
         reliable_down_[c].send(
@@ -339,13 +320,13 @@ void TreeRelay::handle_from_downstream(const Message& msg, std::size_t child) {
       reliable_down_[child].acknowledge(msg.seq);
       break;
     case MessageType::kNotice:
-      if (mech_.external_failure_detector) {
+      if (ctx_->mech.external_failure_detector) {
         // HS recovery: acknowledge, drop our own state, keep flooding the
         // notice toward the sender.
         down_[child]->send(Message{MessageType::kAckNotice, 0, msg.seq, 0});
         if (slot_.value()) {
           slot_.clear();
-          notify();
+          on_change_();
         }
         reliable_up_.send(Message{MessageType::kNotice, 0, next_seq_++, 0});
       } else if (slot_.value() && child_active_[child]) {
@@ -371,7 +352,7 @@ void TreeRelay::crash() {
   reliable_up_.cancel();
   for (ReliableSlot& slot : reliable_down_) slot.cancel();
   crashed_ = true;
-  if (held) notify();
+  if (held) on_change_();
 }
 
 void TreeRelay::recover() { crashed_ = false; }
@@ -379,7 +360,7 @@ void TreeRelay::recover() { crashed_ = false; }
 void TreeRelay::external_removal_signal() {
   if (crashed_) return;  // the detector cannot fire inside a dead process
   if (!slot_.clear()) return;
-  notify();
+  on_change_();
   reliable_up_.send(Message{MessageType::kNotice, 0, next_seq_++, 0});
   for (std::size_t c = 0; c < down_.size(); ++c) {
     child_installed_[c] = 0;

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -48,10 +47,11 @@ namespace sigcomp::protocols {
 class TreeSender {
  public:
   /// `down[c]` is the channel toward child c; the vector's order defines
-  /// the child indices used by handle_from_downstream.
-  TreeSender(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
-             TimerSettings timers, std::vector<MessageChannel*> down,
-             std::function<void()> on_change);
+  /// the child indices used by handle_from_downstream.  `ctx`, `rng` and
+  /// the channels must outlive the node; `on_change` fires on every local
+  /// state change.
+  TreeSender(const NodeContext& ctx, sim::Rng& rng,
+             std::vector<MessageChannel*> down, Hook on_change = {});
 
   TreeSender(const TreeSender&) = delete;             ///< non-copyable
   TreeSender& operator=(const TreeSender&) = delete;  ///< non-copyable
@@ -108,12 +108,10 @@ class TreeSender {
   void send_removal_to(std::size_t c, std::uint64_t seq);
   void arm_refresh();
 
-  sim::Simulator& sim_;
-  sim::Rng& rng_;
-  MechanismSet mech_;
-  TimerSettings timers_;
+  const NodeContext* ctx_;
+  sim::Rng* rng_;
   std::vector<MessageChannel*> down_;
-  std::function<void()> on_change_;
+  Hook on_change_;
   std::vector<ReliableSlot> reliable_down_;  ///< one per child, fixed size
   std::vector<char> child_active_;     ///< signaling flows down edge c
   std::vector<char> child_installed_;  ///< state was pushed down edge c
@@ -121,7 +119,7 @@ class TreeSender {
   StateSlot slot_;  ///< the authoritative root copy (never armed)
   std::uint64_t next_seq_ = 1;
   std::uint64_t trigger_seq_ = 0;
-  std::optional<sim::EventId> refresh_timer_;
+  sim::TimerId refresh_timer_;
 };
 
 /// A relay node (any non-root node of the tree).  Holds state, forwards
@@ -130,11 +128,10 @@ class TreeRelay {
  public:
   /// `up` sends toward the parent; `down[c]` toward child c (empty for a
   /// leaf).  The vector's order defines the child indices used by
-  /// handle_from_downstream.
-  TreeRelay(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
-            TimerSettings timers, MessageChannel* up,
-            std::vector<MessageChannel*> down,
-            std::function<void()> on_change);
+  /// handle_from_downstream.  `ctx`, `rng` and the channels must outlive
+  /// the node; `on_change` fires on every local state change.
+  TreeRelay(const NodeContext& ctx, sim::Rng& rng, MessageChannel* up,
+            std::vector<MessageChannel*> down, Hook on_change = {});
 
   TreeRelay(const TreeRelay&) = delete;             ///< non-copyable
   TreeRelay& operator=(const TreeRelay&) = delete;  ///< non-copyable
@@ -203,15 +200,11 @@ class TreeRelay {
   void forward_trigger_to(std::size_t child, std::int64_t value);
   void send_removal_to(std::size_t c, std::uint64_t seq);
   void forward_removal();
-  void notify();
 
-  sim::Simulator& sim_;
-  sim::Rng& rng_;
-  MechanismSet mech_;
-  TimerSettings timers_;
+  const NodeContext* ctx_;
   MessageChannel* up_;
   std::vector<MessageChannel*> down_;  ///< empty for a leaf
-  std::function<void()> on_change_;
+  Hook on_change_;
   std::vector<ReliableSlot> reliable_down_;  ///< one per child, fixed size
   ReliableSlot reliable_up_;
   std::vector<char> child_active_;     ///< signaling flows down edge c

@@ -33,10 +33,7 @@ void RelayClient::start(std::int64_t value) {
 void RelayClient::stop() {
   if (!active_) return;
   active_ = false;
-  if (refresh_event_) {
-    sim_.cancel(*refresh_event_);
-    refresh_event_.reset();
-  }
+  cancel_timer(sim_, refresh_event_);
   ++sent_;
   send_(relay_, Message{MessageType::kRemove, value_, sent_, 0});
 }
@@ -52,7 +49,7 @@ void RelayClient::handle(const Message& msg) {
 void RelayClient::schedule_refresh() {
   refresh_event_ = sim_.schedule_in(
       sim::sample(rng_, timers_.dist, timers_.refresh), [this] {
-        refresh_event_.reset();
+        refresh_event_ = {};
         if (!active_) return;
         ++sent_;
         send_(relay_, Message{MessageType::kRefresh, value_, sent_, 0});
@@ -67,21 +64,19 @@ SharedRelayHub::SharedRelayHub(sim::Simulator& sim, sim::Rng& rng,
                                std::vector<std::uint64_t> subscribers,
                                FabricSend send,
                                std::function<void()> on_complete)
-    : sim_(sim),
+    : ctx_{&sim, mech, timers},
       rng_(rng),
-      timers_(timers),
       subscribers_(std::move(subscribers)),
       send_(std::move(send)),
       on_complete_(std::move(on_complete)) {
   std::sort(subscribers_.begin(), subscribers_.end());
   for (std::size_t i = 0; i < subscribers_.size(); ++i) {
-    subs_.emplace_back(sim, rng_, mech, timers_,
-                       [this, i] { on_expire(i); });
+    subs_.emplace_back(*this, i, rng_);
   }
 }
 
 void SharedRelayHub::begin() {
-  missing_weight_ = sim::TimeWeightedValue(sim_.now());
+  missing_weight_ = sim::TimeWeightedValue(ctx_.sim->now());
   schedule_fanout();
 }
 
@@ -125,10 +120,7 @@ bool SharedRelayHub::handle(std::uint64_t source, const Message& msg) {
         sub.engaged = false;
         ++departed_;
         if (complete()) {
-          if (fanout_event_) {
-            sim_.cancel(*fanout_event_);
-            fanout_event_.reset();
-          }
+          cancel_timer(*ctx_.sim, fanout_event_);
           if (on_complete_) on_complete_();
         }
       }
@@ -161,13 +153,13 @@ void SharedRelayHub::set_missing(std::size_t index, bool missing) {
   if (sub.missing == missing) return;
   sub.missing = missing;
   missing_count_ += missing ? 1 : static_cast<std::size_t>(-1);
-  missing_weight_.set(sim_.now(), static_cast<double>(missing_count_));
+  missing_weight_.set(ctx_.sim->now(), static_cast<double>(missing_count_));
 }
 
 void SharedRelayHub::schedule_fanout() {
-  fanout_event_ = sim_.schedule_in(
-      sim::sample(rng_, timers_.dist, timers_.refresh), [this] {
-        fanout_event_.reset();
+  fanout_event_ = ctx_.sim->schedule_in(
+      sim::sample(rng_, ctx_.timers.dist, ctx_.timers.refresh), [this] {
+        fanout_event_ = {};
         // Per-subscriber refresh fan-out, ascending index order: every held
         // value is re-echoed to its subscriber.
         for (std::size_t i = 0; i < subs_.size(); ++i) {

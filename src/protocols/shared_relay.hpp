@@ -90,7 +90,7 @@ class RelayClient {
   bool active_ = false;
   std::uint64_t sent_ = 0;
   std::uint64_t echoes_ = 0;
-  std::optional<sim::EventId> refresh_event_;
+  sim::TimerId refresh_event_;
 };
 
 /// The relay session: per-subscriber soft state, install fan-in, periodic
@@ -150,9 +150,13 @@ class SharedRelayHub {
   /// One subscriber's state at the hub.  Lives in a deque: StateSlot is
   /// neither copyable nor movable, and deque emplacement never relocates.
   struct Sub {
-    Sub(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
-        const TimerSettings& timers, std::function<void()> on_expire)
-        : slot(sim, rng, mech, timers, std::move(on_expire)) {}
+    Sub(SharedRelayHub& owner, std::size_t position, sim::Rng& rng)
+        : hub(&owner),
+          index(position),
+          slot(owner.ctx_, rng, Hook::bind<&Sub::expired>(this)) {}
+    void expired() { hub->on_expire(index); }
+    SharedRelayHub* hub;
+    std::size_t index;  ///< position in subscribers_
     StateSlot slot;
     bool engaged = false;   ///< installed at least once, not yet departed
     bool departed = false;  ///< REMOVE received
@@ -165,9 +169,8 @@ class SharedRelayHub {
   /// Subscriber table index of global session `source`, or npos.
   [[nodiscard]] std::size_t index_of(std::uint64_t source) const;
 
-  sim::Simulator& sim_;
+  NodeContext ctx_;  ///< shared by every subscriber slot
   sim::Rng& rng_;
-  TimerSettings timers_;
   std::vector<std::uint64_t> subscribers_;  ///< sorted global indices
   FabricSend send_;
   std::function<void()> on_complete_;
@@ -180,7 +183,7 @@ class SharedRelayHub {
   std::uint64_t sent_ = 0;
   std::uint64_t unknown_dropped_ = 0;
   sim::TimeWeightedValue missing_weight_;  ///< integrates missing_count_
-  std::optional<sim::EventId> fanout_event_;
+  sim::TimerId fanout_event_;
 };
 
 }  // namespace sigcomp::protocols

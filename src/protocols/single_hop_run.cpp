@@ -1,8 +1,7 @@
 #include "protocols/single_hop_run.hpp"
 
-#include <memory>
-#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "core/rng_streams.hpp"
 #include "protocols/engine.hpp"
@@ -13,6 +12,16 @@ namespace sigcomp::protocols {
 
 namespace {
 
+/// The harness's timer settings: the params' timers, the options' law and
+/// staged-retransmission backoff.
+TimerSettings harness_timers(const SingleHopParams& params,
+                             const SimOptions& options) {
+  TimerSettings timers{options.timer_dist, params.refresh_timer,
+                       params.timeout_timer, params.retrans_timer};
+  timers.backoff = options.retrans_backoff;
+  return timers;
+}
+
 /// One self-contained replication: wiring, lifecycle and measurement.
 class SingleHopRun {
  public:
@@ -20,20 +29,25 @@ class SingleHopRun {
                const SimOptions& options)
       : params_(params),
         options_(options),
-        mech_(mechanisms(kind)),
+        ctx_{&sim_, mechanisms(kind), harness_timers(params, options)},
         rng_channel_(options.seed, rng::kSessionChannel),
         rng_sender_(options.seed, rng::kSessionSender),
         rng_receiver_(options.seed, rng::kSessionReceiver),
         rng_lifecycle_(options.seed, rng::kSessionLifecycle),
         rng_failure_(options.seed, rng::kSessionFailure),
-        forward_(sim_, rng_channel_, params.loss_config(),
+        channel_(sim_, params.loss_config(),
                  sim::DelayConfig{options.delay_model, params.delay,
-                                  options.delay_shape},
-                 [this](const Message& m) { receiver_->handle(m); }),
-        reverse_(sim_, rng_channel_, params.loss_config(),
-                 sim::DelayConfig{options.delay_model, params.delay,
-                                  options.delay_shape},
-                 [this](const Message& m) { sender_->handle(m); }) {
+                                  options.delay_shape}),
+        forward_(channel_, rng_channel_,
+                 MessageChannel::Delivery::bind<&ReceiverEngine::handle>(
+                     &receiver_)),
+        reverse_(channel_, rng_channel_,
+                 MessageChannel::Delivery::bind<&SenderEngine::handle>(
+                     &sender_)),
+        sender_(ctx_, rng_sender_, forward_,
+                Hook::bind<&SingleHopRun::on_change>(this)),
+        receiver_(ctx_, rng_receiver_, reverse_,
+                  Hook::bind<&SingleHopRun::on_change>(this)) {
     params_.validate();
     if (options_.crash_fraction < 0.0 || options_.crash_fraction > 1.0) {
       throw std::invalid_argument("SimOptions: crash_fraction must be in [0, 1]");
@@ -50,25 +64,21 @@ class SingleHopRun {
       throw std::invalid_argument(
           "SimOptions: Pareto lifetimes need tail index > 1 (finite mean)");
     }
-    TimerSettings timers{options.timer_dist, params.refresh_timer,
-                         params.timeout_timer, params.retrans_timer};
-    timers.backoff = options_.retrans_backoff;
-    sender_ = std::make_unique<SenderEngine>(sim_, rng_sender_, mech_, timers,
-                                             forward_, [this] { on_change(); });
-    receiver_ = std::make_unique<ReceiverEngine>(sim_, rng_receiver_, mech_, timers,
-                                                 reverse_, [this] { on_change(); });
     if (options_.trace != nullptr) {
       const auto describe = [](const Message& m) {
         return std::string(to_string(m.type));
       };
-      forward_.set_trace(options_.trace, "fwd", describe);
-      reverse_.set_trace(options_.trace, "rev", describe);
+      forward_trace_ = {options_.trace, "fwd", describe};
+      reverse_trace_ = {options_.trace, "rev", describe};
+      forward_.set_trace(&forward_trace_);
+      reverse_.set_trace(&reverse_trace_);
     }
   }
 
   SimResult run() {
     start_session();
-    if (mech_.external_failure_detector && params_.false_signal_rate > 0.0) {
+    if (ctx_.mech.external_failure_detector &&
+        params_.false_signal_rate > 0.0) {
       schedule_false_signal();
     }
     // The lifecycle keeps scheduling events until the last session absorbs;
@@ -83,7 +93,7 @@ class SingleHopRun {
     out.sessions = completed_;
     out.total_time = end_time_;
     out.messages = forward_.counters().sent + reverse_.counters().sent;
-    out.receiver_timeouts = receiver_->timeouts();
+    out.receiver_timeouts = receiver_.timeouts();
     out.crashes = crashes_;
     out.mean_orphan_time = orphan_total_ / static_cast<double>(completed_);
     out.metrics.inconsistency = inconsistent_.mean(end_time_);
@@ -101,32 +111,32 @@ class SingleHopRun {
   void start_session() {
     ++epoch_;
     sender_removed_ = false;
-    sender_->begin_epoch(epoch_);
-    receiver_->begin_epoch(epoch_);
-    sender_->install(++version_);
+    sender_.begin_epoch(epoch_);
+    receiver_.begin_epoch(epoch_);
+    sender_.install(++version_);
     schedule_update();
     removal_event_ = sim_.schedule_in(
         draw_lifetime(), [this] {
-          removal_event_.reset();
+          removal_event_ = {};
           sender_removed_ = true;
           removal_time_ = sim_.now();
           if (rng_lifecycle_.bernoulli(options_.crash_fraction)) {
             ++crashes_;
             trace_session("crash");
-            sender_->crash();
+            sender_.crash();
             // The hard-state external detector eventually notices the
             // crash and tells the receiver to drop the orphaned state.
-            if (mech_.external_failure_detector) {
+            if (ctx_.mech.external_failure_detector) {
               const std::uint64_t epoch = epoch_;
               sim_.schedule_in(
                   rng_lifecycle_.exponential(options_.crash_detection_delay),
                   [this, epoch] {
-                    if (epoch == epoch_) receiver_->external_removal_signal();
+                    if (epoch == epoch_) receiver_.external_removal_signal();
                   });
             }
           } else {
             trace_session("remove");
-            sender_->remove();
+            sender_.remove();
           }
           check_absorption();
         });
@@ -158,9 +168,9 @@ class SingleHopRun {
     if (params_.update_rate <= 0.0) return;
     update_event_ = sim_.schedule_in(
         rng_lifecycle_.exponential(1.0 / params_.update_rate), [this] {
-          update_event_.reset();
-          if (!sender_removed_ && sender_->value()) {
-            sender_->update(++version_);
+          update_event_ = {};
+          if (!sender_removed_ && sender_.value()) {
+            sender_.update(++version_);
           }
           schedule_update();
         });
@@ -169,36 +179,30 @@ class SingleHopRun {
   void schedule_false_signal() {
     sim_.schedule_in(rng_failure_.exponential(1.0 / params_.false_signal_rate),
                      [this] {
-                       receiver_->external_removal_signal();
+                       receiver_.external_removal_signal();
                        schedule_false_signal();
                      });
   }
 
-  void cancel(std::optional<sim::EventId>& id) {
-    if (id) {
-      sim_.cancel(*id);
-      id.reset();
-    }
-  }
 
   void on_change() {
-    const bool consistent = sender_->value() == receiver_->value();
+    const bool consistent = sender_.value() == receiver_.value();
     inconsistent_.set(sim_.now(), consistent ? 0.0 : 1.0);
     check_absorption();
   }
 
   void check_absorption() {
-    if (!sender_removed_ || receiver_->value()) return;
+    if (!sender_removed_ || receiver_.value()) return;
     // Both ends are empty: the session is absorbed (the model's (0,0)).
     ++completed_;
     end_time_ = sim_.now();
     orphan_total_ += sim_.now() - removal_time_;
     trace_session("absorbed");
     sender_removed_ = false;
-    cancel(update_event_);
-    cancel(removal_event_);
-    sender_->reset();
-    receiver_->reset();
+    cancel_timer(sim_, update_event_);
+    cancel_timer(sim_, removal_event_);
+    sender_.reset();
+    receiver_.reset();
     if (completed_ < options_.sessions) {
       // Renewal: the next session starts immediately (merged (0,0)/(1,0)1).
       sim_.schedule_in(0.0, [this] { start_session(); });
@@ -207,22 +211,24 @@ class SingleHopRun {
 
   SingleHopParams params_;
   SimOptions options_;
-  MechanismSet mech_;
-
   sim::Simulator sim_;
+  NodeContext ctx_;
   sim::Rng rng_channel_;
   sim::Rng rng_sender_;
   sim::Rng rng_receiver_;
   sim::Rng rng_lifecycle_;
   sim::Rng rng_failure_;
+  sim::ChannelConfig channel_;  ///< both directions share the link
+  sim::ChannelTrace<Message> forward_trace_;
+  sim::ChannelTrace<Message> reverse_trace_;
   MessageChannel forward_;
   MessageChannel reverse_;
-  std::unique_ptr<SenderEngine> sender_;
-  std::unique_ptr<ReceiverEngine> receiver_;
+  SenderEngine sender_;
+  ReceiverEngine receiver_;
 
   sim::TimeWeightedValue inconsistent_;
-  std::optional<sim::EventId> update_event_;
-  std::optional<sim::EventId> removal_event_;
+  sim::TimerId update_event_;
+  sim::TimerId removal_event_;
   bool sender_removed_ = false;
   std::uint64_t epoch_ = 0;
   std::int64_t version_ = 0;

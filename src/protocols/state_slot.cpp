@@ -1,32 +1,14 @@
 #include "protocols/state_slot.hpp"
 
-#include <utility>
-
 namespace sigcomp::protocols {
 
 // -------------------------------------------------------------- StateSlot --
 
-StateSlot::StateSlot(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
-                     const TimerSettings& timers,
-                     std::function<void()> on_expire)
-    : sim_(sim),
-      rng_(rng),
-      mech_(mech),
-      timers_(timers),
-      on_expire_(std::move(on_expire)) {}
-
 void StateSlot::arm_timeout() {
-  if (!mech_.soft_timeout) return;
-  rearm_timer(sim_, timeout_timer_,
-              sim::sample(rng_, timers_.dist, timers_.timeout),
+  if (!ctx_->mech.soft_timeout) return;
+  rearm_timer(*ctx_->sim, timeout_timer_,
+              sim::sample(*rng_, ctx_->timers.dist, ctx_->timers.timeout),
               [this] { on_timeout(); });
-}
-
-void StateSlot::cancel_timeout() {
-  if (timeout_timer_) {
-    sim_.cancel(*timeout_timer_);
-    timeout_timer_.reset();
-  }
 }
 
 bool StateSlot::clear() {
@@ -37,20 +19,14 @@ bool StateSlot::clear() {
 }
 
 void StateSlot::on_timeout() {
-  timeout_timer_.reset();
+  timeout_timer_ = {};
   if (!value_) return;
   value_.reset();
   ++timeouts_;
-  if (on_expire_) on_expire_();
+  on_expire_();
 }
 
 // ---------------------------------------------------------- ReliableSlot --
-
-ReliableSlot::ReliableSlot(sim::Simulator& sim, sim::Rng& rng,
-                           sim::Distribution dist, double retrans_timer,
-                           MessageChannel* channel)
-    : sim_(sim), rng_(rng), dist_(dist), retrans_timer_(retrans_timer),
-      channel_(channel) {}
 
 void ReliableSlot::send(Message msg) {
   pending_ = msg;
@@ -67,19 +43,17 @@ bool ReliableSlot::acknowledge(std::uint64_t seq) {
 
 void ReliableSlot::cancel() {
   outstanding_ = false;
-  if (timer_) {
-    sim_.cancel(*timer_);
-    timer_.reset();
-  }
+  cancel_timer(*ctx_->sim, timer_);
 }
 
 void ReliableSlot::arm() {
-  rearm_timer(sim_, timer_, sim::sample(rng_, dist_, retrans_timer_),
+  rearm_timer(*ctx_->sim, timer_,
+              sim::sample(*rng_, ctx_->timers.dist, ctx_->timers.retrans),
               [this] { on_timer(); });
 }
 
 void ReliableSlot::on_timer() {
-  timer_.reset();
+  timer_ = {};
   if (!outstanding_) return;
   channel_->send(pending_);
   arm();

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <utility>
 
@@ -46,23 +45,46 @@ struct TimerSettings {
   double backoff_cap = 64.0;  ///< cap multiplier of the staged timer
 };
 
+/// What every protocol node of one run shares: the simulator, the
+/// protocol's mechanism switches and its timer settings.  Built once by the
+/// owner of the run (a farm shard, a harness, a Topology) and handed to
+/// slots and engines by reference; they keep a pointer to it instead of a
+/// copy each, so it must outlive them.
+struct NodeContext {
+  sim::Simulator* sim = nullptr;  ///< the simulator every timer runs on
+  MechanismSet mech{};            ///< the protocol's mechanism switches
+  TimerSettings timers{};         ///< R, T, Gamma and the timer law
+};
+
+/// An owner callback with no arguments (state-change and expiry hooks).
+using Hook = sim::OwnerCall<>;
+
 /// The channel type every protocol node sends Messages through.
 using MessageChannel = sim::Channel<Message>;
 
-/// Re-arms `timer` to fire `delay` seconds from now: moves its pending event
-/// in place (Simulator::reschedule_in) when there is one, else schedules
-/// `action`.  Either way the event order equals cancel + schedule_in.
+/// Re-arms `timer` (empty = no pending event) to fire `delay` seconds from
+/// now: moves its pending event in place (Simulator::reschedule_in) when
+/// there is one, else schedules `action`.  Either way the event order
+/// equals cancel + schedule_in.
 template <typename F>
-void rearm_timer(sim::Simulator& sim, std::optional<sim::EventId>& timer,
-                 sim::Time delay, F&& action) {
+void rearm_timer(sim::Simulator& sim, sim::TimerId& timer, sim::Time delay,
+                 F&& action) {
   if (timer) {
-    const sim::EventId moved = sim.reschedule_in(*timer, delay);
+    const sim::EventId moved = sim.reschedule_in(timer.id(), delay);
     if (moved.value != 0) {
       timer = moved;
       return;
     }
   }
   timer = sim.schedule_in(delay, std::forward<F>(action));
+}
+
+/// Cancels `timer` if it is armed and clears the handle.
+inline void cancel_timer(sim::Simulator& sim, sim::TimerId& timer) {
+  if (timer) {
+    sim.cancel(timer.id());
+    timer = {};
+  }
 }
 
 /// One node's copy of the signaling state plus the soft-state timeout that
@@ -74,10 +96,11 @@ void rearm_timer(sim::Simulator& sim, std::optional<sim::EventId>& timer,
 /// sender's authoritative root copy) is plain storage.
 class StateSlot {
  public:
-  /// `on_expire` (may be null) fires after a soft-state timeout cleared the
-  /// value; the owner emits its removal notification there.
-  StateSlot(sim::Simulator& sim, sim::Rng& rng, MechanismSet mech,
-            const TimerSettings& timers, std::function<void()> on_expire);
+  /// `ctx` and `rng` must outlive the slot.  `on_expire` (may be the no-op
+  /// hook) fires after a soft-state timeout cleared the value; the owner
+  /// emits its removal notification there.
+  StateSlot(const NodeContext& ctx, sim::Rng& rng, Hook on_expire = {}) noexcept
+      : ctx_(&ctx), rng_(&rng), on_expire_(on_expire) {}
 
   StateSlot(const StateSlot&) = delete;             ///< non-copyable
   StateSlot& operator=(const StateSlot&) = delete;  ///< non-copyable
@@ -92,7 +115,7 @@ class StateSlot {
   void arm_timeout();
 
   /// Cancels the pending timeout, if any.
-  void cancel_timeout();
+  void cancel_timeout() { cancel_timer(*ctx_->sim, timeout_timer_); }
 
   /// Removes the value and cancels the timeout.  Returns true when a value
   /// was actually held -- callers use this to suppress duplicate signaling
@@ -115,25 +138,26 @@ class StateSlot {
  private:
   void on_timeout();
 
-  sim::Simulator& sim_;
-  sim::Rng& rng_;
-  MechanismSet mech_;
-  TimerSettings timers_;
-  std::function<void()> on_expire_;
+  const NodeContext* ctx_;
+  sim::Rng* rng_;
+  Hook on_expire_;
 
   std::optional<std::int64_t> value_;
   std::uint64_t timeouts_ = 0;
-  std::optional<sim::EventId> timeout_timer_;
+  sim::TimerId timeout_timer_;
 };
 
 /// Per-direction reliable transmission slot: at most one outstanding message
 /// per link direction; a newer reliable send supersedes the pending one
-/// (it always carries more recent information).
+/// (it always carries more recent information).  Retransmits every
+/// ctx.timers.retrans (drawn from ctx.timers.dist), without backoff.
 class ReliableSlot {
  public:
-  /// `channel` may be null only if send() is never called.
-  ReliableSlot(sim::Simulator& sim, sim::Rng& rng, sim::Distribution dist,
-               double retrans_timer, MessageChannel* channel);
+  /// `ctx` and `rng` must outlive the slot; `channel` may be null only if
+  /// send() is never called.
+  ReliableSlot(const NodeContext& ctx, sim::Rng& rng,
+               MessageChannel* channel) noexcept
+      : ctx_(&ctx), rng_(&rng), channel_(channel) {}
 
   /// Sends `msg` reliably: transmit now, retransmit until acknowledged.
   void send(Message msg);
@@ -152,14 +176,19 @@ class ReliableSlot {
   void arm();
   void on_timer();
 
-  sim::Simulator& sim_;
-  sim::Rng& rng_;
-  sim::Distribution dist_;
-  double retrans_timer_;
+  const NodeContext* ctx_;
+  sim::Rng* rng_;
   MessageChannel* channel_;
   Message pending_{};
   bool outstanding_ = false;
-  std::optional<sim::EventId> timer_;
+  sim::TimerId timer_;
 };
+
+// Layout pins: a single-hop farm session holds two channels and two slots,
+// so their bytes multiply by a million at scale.  A channel keeps its state
+// plus pointers to what it shares; a slot points at its NodeContext.
+static_assert(sizeof(MessageChannel) <= 88,
+              "channels hold pointers, not copies");
+static_assert(sizeof(StateSlot) <= 64, "slots hold pointers, not copies");
 
 }  // namespace sigcomp::protocols

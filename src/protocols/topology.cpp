@@ -12,7 +12,9 @@ Topology::Topology(sim::Simulator& sim, sim::Rng& channel_rng,
                    const std::vector<sim::LossConfig>& edge_loss,
                    const std::vector<sim::DelayConfig>& edge_delay,
                    std::function<void()> on_change, sim::TraceLog* trace)
-    : spec_(spec) {
+    : spec_(spec),
+      ctx_{&sim, mech, timers},
+      on_change_(std::move(on_change)) {
   spec_.validate();
   const std::size_t e_count = spec_.edges();
   if (e_count == 0) {
@@ -25,18 +27,24 @@ Topology::Topology(sim::Simulator& sim, sim::Rng& channel_rng,
 
   // Channels first (nodes keep pointers to them); sinks wired afterwards.
   // Edge order matches the chain builder's hop order, so a fan-out-1 spec
-  // produces the identical construction and trace-label sequence.
+  // produces the identical construction and trace-label sequence.  Every
+  // vector a channel points into is sized before the first channel exists.
+  edge_config_.reserve(e_count);
+  up_links_.reserve(e_count);
+  if (trace != nullptr) traces_.reserve(2 * e_count);
   for (std::size_t e = 0; e < e_count; ++e) {
-    down_.push_back(std::make_unique<MessageChannel>(
-        sim, channel_rng, edge_loss[e], edge_delay[e], MessageChannel::Sink{}));
-    up_.push_back(std::make_unique<MessageChannel>(
-        sim, channel_rng, edge_loss[e], edge_delay[e], MessageChannel::Sink{}));
+    const sim::ChannelConfig& config =
+        edge_config_.emplace_back(sim, edge_loss[e], edge_delay[e]);
+    down_.push_back(std::make_unique<MessageChannel>(config, channel_rng));
+    up_.push_back(std::make_unique<MessageChannel>(config, channel_rng));
     if (trace != nullptr) {
       const auto describe = [](const Message& m) {
         return std::string(to_string(m.type));
       };
-      down_[e]->set_trace(trace, "dn" + std::to_string(e), describe);
-      up_[e]->set_trace(trace, "up" + std::to_string(e), describe);
+      down_[e]->set_trace(&traces_.emplace_back(sim::ChannelTrace<Message>{
+          trace, "dn" + std::to_string(e), describe}));
+      up_[e]->set_trace(&traces_.emplace_back(sim::ChannelTrace<Message>{
+          trace, "up" + std::to_string(e), describe}));
     }
   }
 
@@ -71,26 +79,29 @@ Topology::Topology(sim::Simulator& sim, sim::Rng& channel_rng,
     return out;
   };
 
-  sender_ = std::make_unique<TreeSender>(sim, node_rng, mech, timers,
-                                         down_channels(0), on_change);
+  const Hook changed = on_change_ ? Hook::to(&on_change_) : Hook{};
+  sender_ = std::make_unique<TreeSender>(ctx_, node_rng, down_channels(0),
+                                         changed);
   for (std::size_t e = 0; e < e_count; ++e) {
     relays_.push_back(std::make_unique<TreeRelay>(
-        sim, node_rng, mech, timers, up_[e].get(), down_channels(e + 1),
-        on_change));
+        ctx_, node_rng, up_[e].get(), down_channels(e + 1), changed));
   }
 
   for (std::size_t e = 0; e < e_count; ++e) {
     down_[e]->set_sink(
-        [this, e](const Message& m) { relays_[e]->handle_from_upstream(m); });
-    const std::size_t parent = spec_.parent[e];
-    const std::size_t index = child_index_[e];
-    up_[e]->set_sink([this, parent, index](const Message& m) {
-      if (parent == 0) {
-        sender_->handle_from_downstream(m, index);
-      } else {
-        relays_[parent - 1]->handle_from_downstream(m, index);
-      }
-    });
+        MessageChannel::Delivery::bind<&TreeRelay::handle_from_upstream>(
+            relays_[e].get()));
+    up_[e]->set_sink(MessageChannel::Delivery::bind<&UpLink::deliver>(
+        &up_links_.emplace_back(UpLink{this, e})));
+  }
+}
+
+void Topology::deliver_up(std::size_t e, const Message& m) {
+  const std::size_t parent = spec_.parent[e];
+  if (parent == 0) {
+    sender_->handle_from_downstream(m, child_index_[e]);
+  } else {
+    relays_[parent - 1]->handle_from_downstream(m, child_index_[e]);
   }
 }
 

@@ -22,10 +22,12 @@
 
 namespace sigcomp::protocols {
 
-/// Owns the tree's nodes and channels.  Edge e's two directions share the
-/// link's loss and delay configuration; channel trace labels are "dn<e>"
-/// (away from the root) and "up<e>" (toward the root) -- on a chain spec
-/// these coincide with the historical per-hop labels.
+/// Owns the tree's nodes and channels and what they share: one NodeContext
+/// for every node, one validated sim::ChannelConfig per edge (its two
+/// directions share the link's loss and delay configuration), the change
+/// hook, and the channels' trace bindings.  Channel trace labels are
+/// "dn<e>" (away from the root) and "up<e>" (toward the root) -- on a chain
+/// spec these coincide with the historical per-hop labels.
 class Topology {
  public:
   /// `edge_loss` and `edge_delay` must have exactly spec.edges() entries
@@ -135,7 +137,22 @@ class Topology {
   void prune_edge_at(std::size_t e);
   void deactivate_edge(std::size_t e);
 
+  /// Delivery target of edge e's upward channel: hands the message to e's
+  /// parent with e's child index.
+  struct UpLink {
+    Topology* topology;
+    std::size_t edge;
+    void deliver(const Message& m) const { topology->deliver_up(edge, m); }
+  };
+  void deliver_up(std::size_t e, const Message& m);
+
   TreeSpec spec_;
+  NodeContext ctx_;
+  std::function<void()> on_change_;
+  std::vector<sim::ChannelConfig> edge_config_;  ///< e: both directions
+  std::vector<UpLink> up_links_;                 ///< e: up_[e]'s sink
+  /// Trace bindings, "dn<e>" at 2e and "up<e>" at 2e + 1 (empty untraced).
+  std::vector<sim::ChannelTrace<Message>> traces_;
   std::vector<std::unique_ptr<MessageChannel>> down_;  ///< e: parent -> child
   std::vector<std::unique_ptr<MessageChannel>> up_;    ///< e: child -> parent
   std::unique_ptr<TreeSender> sender_;

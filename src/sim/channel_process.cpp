@@ -107,16 +107,18 @@ LossProcess::LossProcess(LossConfig config) : config_(config) {
   config_.validate();
 }
 
-bool LossProcess::drop(Rng& rng) noexcept {
-  if (config_.model == LossModel::kIid) return rng.bernoulli(config_.loss);
+bool LossConfig::drop(Rng& rng, bool& bad) const noexcept {
+  if (model == LossModel::kIid) return rng.bernoulli(loss);
   // Step the chain, then drop according to the post-step state.  Sampling
   // "next state is bad" as u < P(bad | current) makes the degenerate
   // parameterization (p_gb = p, p_bg = 1 - p) consume the stream exactly
   // like iid Bernoulli(p): u < p on every send regardless of state.
-  const double to_bad = bad_ ? 1.0 - config_.p_bg : config_.p_gb;
-  bad_ = rng.bernoulli(to_bad);
-  return rng.bernoulli(bad_ ? config_.loss_bad : config_.loss_good);
+  const double to_bad = bad ? 1.0 - p_bg : p_gb;
+  bad = rng.bernoulli(to_bad);
+  return rng.bernoulli(bad ? loss_bad : loss_good);
 }
+
+bool LossProcess::drop(Rng& rng) noexcept { return config_.drop(rng, bad_); }
 
 void LossProcess::set_loss(double loss) {
   check_unit_interval(loss, "loss");

@@ -72,6 +72,13 @@ struct LossConfig {
   /// Throws std::invalid_argument when any probability is outside [0, 1].
   void validate() const;
 
+  /// Advances a process of this configuration by one message and returns
+  /// whether it is dropped.  `bad` is the process's only state (the GE
+  /// chain's current state; untouched under iid), so a channel can keep it
+  /// as one bit next to a shared configuration.  See LossProcess::drop for
+  /// the stepping rule.
+  [[nodiscard]] bool drop(Rng& rng, bool& bad) const noexcept;
+
   friend bool operator==(const LossConfig&,
                          const LossConfig&) = default;  ///< field-wise equality
 };

@@ -189,6 +189,38 @@ struct EventId {
                          const EventId&) = default;  ///< field-wise equality
 };
 
+/// Bits of slot index in a packed (seq, slot) word; the queue issues no seq
+/// at or above 2^(64 - kEventSlotBits) and no slot at or above
+/// 2^kEventSlotBits, so the packing is exact.
+inline constexpr unsigned kEventSlotBits = 26;
+
+/// An EventId packed into one word, (seq << 26) | slot -- the heap entry's
+/// own encoding -- for objects that keep several timer handles (a farm
+/// session keeps eight).  Default-constructed, and packed from the default
+/// EventId, it is 0: "no pending timer".
+class TimerId {
+ public:
+  /// No timer.
+  TimerId() noexcept = default;
+  /// Packs `id` (implicit, so `timer = sim.schedule_in(...)` stores a
+  /// new handle directly).
+  TimerId(EventId id) noexcept  // NOLINT(google-explicit-constructor)
+      : packed_(id.value << kEventSlotBits | id.slot) {}
+
+  /// The unpacked handle, for Simulator::cancel and reschedule_in.
+  [[nodiscard]] EventId id() const noexcept {
+    return EventId{packed_ >> kEventSlotBits,
+                   static_cast<std::uint32_t>(
+                       packed_ & ((std::uint64_t{1} << kEventSlotBits) - 1))};
+  }
+
+  /// True while a timer is recorded.
+  explicit operator bool() const noexcept { return packed_ != 0; }
+
+ private:
+  std::uint64_t packed_ = 0;
+};
+
 /// One expiry extracted by a batched drain (EventQueue::drain_due): the
 /// scheduled time plus the (seq, slot) identity needed to claim it
 /// (take_drained) or put it back (requeue_drained).
@@ -294,7 +326,7 @@ class EventQueue {
   /// (~2.7e11 events per queue lifetime) and 26 bits of slot index (~6.7e7
   /// concurrently pending events).  16-byte entries put four per cache
   /// line, which is what the pop path is bound by at scale-harness depths.
-  static constexpr unsigned kSlotBits = 26;
+  static constexpr unsigned kSlotBits = kEventSlotBits;
   static constexpr std::uint64_t kMaxSlots = 1ULL << kSlotBits;
   static constexpr std::uint64_t kMaxSeq = 1ULL << (64 - kSlotBits);
 

@@ -47,6 +47,22 @@ def heap_only_snapshot(tag):
     return data
 
 
+def footprint_snapshot(tag):
+    """A perf_scale --json payload whose scale rows carry the resident-set
+    footprint: peak_rss_mb and rss_per_in_flight_bytes, numbers when the
+    row raised the process high-water mark and null when it did not."""
+    data = heap_only_snapshot(tag)
+    data["farm"].append(
+        {"workload": "scale SS+RT, 10s window", "sessions": 1050000,
+         "peak_sessions_in_flight": 1033000, "events_per_s": 5.0,
+         "peak_rss_mb": 1490.5, "rss_per_in_flight_bytes": 1489.0})
+    data["farm"].append(
+        {"workload": "scale SS+RT shared-relay", "sessions": 1054096,
+         "peak_sessions_in_flight": 1037000, "events_per_s": 6.0,
+         "peak_rss_mb": None, "rss_per_in_flight_bytes": None})
+    return data
+
+
 def trajectory(labels):
     return {
         "bench": "perf_scale",
@@ -119,6 +135,22 @@ class BenchTrajectoryTest(unittest.TestCase):
         self.assertEqual(result.returncode, 0, result.stderr)
         result = run_tool("validate", "--trajectory", path)
         self.assertEqual(result.returncode, 0, result.stderr)
+
+    def test_ingest_keeps_the_footprint_fields_of_scale_rows(self):
+        path = self.write("traj.json", trajectory(["pr9"]))
+        snap = self.write("rss.json", footprint_snapshot("footprint"))
+        result = run_tool("ingest", "--trajectory", path, "--snapshot", snap,
+                          "--label", "ci-xshard-gcc-Release-heap")
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertEqual(
+            run_tool("validate", "--trajectory", path).returncode, 0)
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        rows = data["trajectory"][1]["snapshot"]["farm"]
+        self.assertEqual(rows[1]["peak_rss_mb"], 1490.5)
+        self.assertEqual(rows[1]["rss_per_in_flight_bytes"], 1489.0)
+        self.assertIsNone(rows[2]["peak_rss_mb"])
+        self.assertIsNone(rows[2]["rss_per_in_flight_bytes"])
 
     def test_tracked_trajectory_validates(self):
         tracked = os.path.join(ROOT, "BENCH_scale.json")

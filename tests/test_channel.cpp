@@ -184,5 +184,111 @@ TEST(Channel, GilbertElliottChannelDropsInBursts) {
   EXPECT_NEAR(ch.loss(), 0.2, 1e-12);
 }
 
+/// A delivery target for compact channels (owner dispatch).
+struct Counter {
+  int received = 0;
+  int last_id = -1;
+  void on(const Packet& p) {
+    ++received;
+    last_id = p.id;
+  }
+};
+
+TEST(Channel, CompactChannelsDispatchToTheirOwnersMember) {
+  Simulator sim;
+  Rng rng(11);
+  const ChannelConfig shared(sim, LossConfig::iid(0.0),
+                             DelayConfig::deterministic(0.2));
+  Counter a;
+  Counter b;
+  Channel<Packet> to_a(shared, rng,
+                       Channel<Packet>::Delivery::bind<&Counter::on>(&a));
+  Channel<Packet> to_b(shared, rng);
+  to_b.set_sink(Channel<Packet>::Delivery::bind<&Counter::on>(&b));
+  to_a.send({5});
+  to_b.send({6});
+  to_b.send({7});
+  sim.run();
+  EXPECT_EQ(a.received, 1);
+  EXPECT_EQ(a.last_id, 5);
+  EXPECT_EQ(b.received, 2);
+  EXPECT_EQ(b.last_id, 7);
+  EXPECT_DOUBLE_EQ(sim.now(), 0.2);
+  EXPECT_EQ(&to_a.delay_config(), &shared.delay);  // shared, not copied
+}
+
+TEST(Channel, SetLossOnOneChannelLeavesItsSiblingsOnTheSharedConfig) {
+  // Fault injection on one channel must not leak into the channels that
+  // share its configuration (every session of a farm shard shares one).
+  Simulator sim;
+  Rng rng(12);
+  const ChannelConfig shared(sim, LossConfig::iid(0.0),
+                             DelayConfig::deterministic(0.01));
+  Counter a;
+  Counter b;
+  Channel<Packet> blackholed(shared, rng,
+                             Channel<Packet>::Delivery::bind<&Counter::on>(&a));
+  Channel<Packet> sibling(shared, rng,
+                          Channel<Packet>::Delivery::bind<&Counter::on>(&b));
+  blackholed.set_loss(1.0);
+  for (int i = 0; i < 20; ++i) {
+    blackholed.send({i});
+    sibling.send({i});
+  }
+  sim.run();
+  EXPECT_EQ(a.received, 0);
+  EXPECT_EQ(blackholed.counters().lost, 20u);
+  EXPECT_DOUBLE_EQ(blackholed.loss(), 1.0);
+  EXPECT_EQ(b.received, 20);
+  EXPECT_EQ(sibling.counters().lost, 0u);
+  EXPECT_DOUBLE_EQ(sibling.loss(), 0.0);
+  EXPECT_EQ(&sibling.loss_config(), &shared.loss);
+  EXPECT_EQ(shared.loss, LossConfig::iid(0.0));
+  // Healing the faulty link restores delivery; the sibling never changed.
+  blackholed.set_loss(0.0);
+  blackholed.send({99});
+  sim.run();
+  EXPECT_EQ(a.received, 1);
+  EXPECT_EQ(a.last_id, 99);
+}
+
+TEST(Channel, CompactGilbertElliottChannelMatchesTheLossProcess) {
+  // The GE chain's state is one bit in the channel next to a shared
+  // config; its drop sequence must equal the stateful LossProcess's.
+  Simulator sim;
+  const LossConfig ge = LossConfig::gilbert_elliott_matched(0.3, 4.0);
+  const ChannelConfig shared(sim, ge, DelayConfig::deterministic(0.001));
+  Rng channel_rng(13);
+  Rng process_rng(13);
+  Channel<Packet> ch(shared, channel_rng);
+  LossProcess process(ge);
+  std::uint64_t lost = 0;
+  for (int i = 0; i < 2000; ++i) {
+    ch.send({i});
+    lost += process.drop(process_rng) ? 1 : 0;
+    // Deterministic delay consumes no draw, so the streams stay aligned.
+    ASSERT_EQ(ch.counters().lost, lost) << "message " << i;
+  }
+  EXPECT_GT(lost, 0u);
+}
+
+TEST(Channel, SharedConfigValidatesOnce) {
+  Simulator sim;
+  EXPECT_THROW(ChannelConfig(sim, LossConfig::iid(1.5),
+                             DelayConfig::deterministic(0.1)),
+               std::invalid_argument);
+  EXPECT_THROW(ChannelConfig(sim, LossConfig::gilbert_elliott(0.1, -0.2),
+                             DelayConfig::deterministic(0.1)),
+               std::invalid_argument);
+  EXPECT_THROW(ChannelConfig(sim, LossConfig::iid(0.1),
+                             DelayConfig::pareto(0.1, 0.5)),
+               std::invalid_argument);
+  EXPECT_THROW(ChannelConfig(sim, LossConfig::iid(0.1),
+                             DelayConfig::lognormal(0.1, -1.0)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(ChannelConfig(sim, LossConfig::iid(0.1),
+                                DelayConfig::pareto(0.1, 1.5)));
+}
+
 }  // namespace
 }  // namespace sigcomp::sim

@@ -660,5 +660,32 @@ TEST(EventQueue, ManyEventsStressOrdering) {
   }
 }
 
+TEST(TimerId, PacksEveryHandleTheQueueIssuesIntoOneWord) {
+  static_assert(sizeof(TimerId) == sizeof(std::uint64_t));
+  EXPECT_FALSE(TimerId{});
+  EXPECT_FALSE(TimerId(EventId{}));
+  EXPECT_EQ(TimerId{}.id(), EventId{});
+  // Real handles round-trip, across recycled slots and fresh seqs, and a
+  // packed handle cancels and reschedules like the original.
+  EventQueue q;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 64; ++i) ids.push_back(q.push(1.0 + i, [] {}));
+  for (int i = 0; i < 64; i += 2) EXPECT_TRUE(q.cancel(TimerId(ids[i]).id()));
+  for (int i = 0; i < 32; ++i) ids.push_back(q.push(100.0 + i, [] {}));
+  for (const EventId id : ids) {
+    const TimerId packed(id);
+    EXPECT_TRUE(packed);
+    EXPECT_EQ(packed.id(), id);
+  }
+  const TimerId moved = q.reschedule(TimerId(ids[1]).id(), 500.0);
+  EXPECT_TRUE(moved);
+  EXPECT_FALSE(q.cancel(ids[1]));  // the old handle went stale
+  EXPECT_TRUE(q.cancel(moved.id()));
+  // The largest seq and slot the queue may issue survive the packing.
+  const EventId edge{(std::uint64_t{1} << (64 - kEventSlotBits)) - 1,
+                     (std::uint32_t{1} << kEventSlotBits) - 1};
+  EXPECT_EQ(TimerId(edge).id(), edge);
+}
+
 }  // namespace
 }  // namespace sigcomp::sim

@@ -31,9 +31,13 @@ struct SlotFixture {
       : rng(5),
         channel(sim, rng, 0.0, 0.01, sim::Distribution::kDeterministic,
                 capture.sink()),
-        slot(sim, rng, sim::Distribution::kDeterministic, 0.5, &channel) {}
+        slot(ctx, rng, &channel) {}
 
   sim::Simulator sim;
+  // The slot retransmits every timers.retrans = 0.5 s, deterministically.
+  NodeContext ctx{&sim, mechanisms(ProtocolKind::kHS),
+                  TimerSettings{sim::Distribution::kDeterministic, 5.0, 15.0,
+                                0.5}};
   sim::Rng rng;
   Capture capture;
   MessageChannel channel;
@@ -96,13 +100,14 @@ struct RelayFixture {
     timers.refresh = 5.0;
     timers.timeout = 15.0;
     timers.retrans = 0.5;
+    ctx = NodeContext{&sim, mechanisms(kind), timers};
     std::vector<MessageChannel*> children;
     if (!is_last) children.push_back(&down);
-    relay = std::make_unique<ChainRelay>(sim, rng, mechanisms(kind), timers,
-                                         &up, std::move(children), nullptr);
+    relay = std::make_unique<ChainRelay>(ctx, rng, &up, std::move(children));
   }
 
   sim::Simulator sim;
+  NodeContext ctx;
   sim::Rng rng;
   Capture up_capture;
   Capture down_capture;
@@ -223,12 +228,13 @@ struct SenderFixture {
     timers.refresh = 5.0;
     timers.timeout = 15.0;
     timers.retrans = 0.5;
+    ctx = NodeContext{&sim, mechanisms(kind), timers};
     sender = std::make_unique<ChainSender>(
-        sim, rng, mechanisms(kind), timers,
-        std::vector<MessageChannel*>{&down}, nullptr);
+        ctx, rng, std::vector<MessageChannel*>{&down});
   }
 
   sim::Simulator sim;
+  NodeContext ctx;
   sim::Rng rng;
   Capture capture;
   MessageChannel down;

@@ -242,6 +242,68 @@ TEST(SessionFarm, ValidatesOptions) {
   options.leaf_churn.leaf_lifetime = -2.0;
   EXPECT_THROW((void)run_session_farm(ProtocolKind::kSS, chain, options),
                std::invalid_argument);
+  // Channel laws are validated up front, with the channel layer's own
+  // messages: a Pareto tail index <= 1 (no finite mean), a negative
+  // lognormal sigma -- for single-hop and tree farms alike -- and
+  // Gilbert-Elliott probabilities outside [0, 1].
+  const auto expect_message = [](const auto& run, const std::string& what) {
+    try {
+      run();
+      ADD_FAILURE() << what << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), what);
+    }
+  };
+  const std::string pareto =
+      "DelayConfig: Pareto delay needs tail index > 1 (finite mean)";
+  const std::string lognormal = "DelayConfig: lognormal sigma must be >= 0";
+  options = small_farm(10);
+  options.delay_model = sim::DelayModel::kPareto;
+  options.delay_shape = 0.5;
+  expect_message(
+      [&] { (void)run_session_farm(ProtocolKind::kSS, params, options); },
+      pareto);
+  expect_message(
+      [&] { (void)run_session_farm(ProtocolKind::kSS, chain, options); },
+      pareto);
+  options.delay_model = sim::DelayModel::kLognormal;
+  options.delay_shape = -0.5;
+  expect_message(
+      [&] { (void)run_session_farm(ProtocolKind::kHS, params, options); },
+      lognormal);
+  expect_message(
+      [&] { (void)run_session_farm(ProtocolKind::kHS, chain, options); },
+      lognormal);
+  options = small_farm(10);
+  SingleHopParams ge = params.with_bursty_loss(5.0);
+  ge.ge_p_bg = 1.5;
+  expect_message(
+      [&] { (void)run_session_farm(ProtocolKind::kSS, ge, options); },
+      "LossConfig: p_bg must be in [0, 1]");
+  ge = params.with_bursty_loss(5.0);
+  ge.ge_loss_bad = -0.1;
+  expect_message(
+      [&] { (void)run_session_farm(ProtocolKind::kSS, ge, options); },
+      "LossConfig: loss_bad must be in [0, 1]");
+}
+
+TEST(SessionFarm, SingleHopAndSharedRelayFarmsReportNoChurn) {
+  // Only tree sessions churn leaves, so only tree farms allocate and fill
+  // churn reports; the others must still reduce to an all-zero report.
+  const SingleHopParams params = SingleHopParams::kazaa_defaults();
+  const SessionFarmResult single =
+      run_session_farm(ProtocolKind::kSSRT, params, small_farm(60));
+  EXPECT_EQ(single.sessions, 60u);
+  EXPECT_EQ(single.churn, protocols::ChurnReport{});
+  SessionFarmOptions relayed = small_farm(60);
+  relayed.shared_relays = 3;
+  relayed.subscribers_per_relay = 8;
+  relayed.shard_size = 16;
+  const SessionFarmResult fabric =
+      run_session_farm(ProtocolKind::kSSRT, params, relayed);
+  EXPECT_EQ(fabric.sessions, 63u);
+  EXPECT_GT(fabric.fabric_messages, 0u);
+  EXPECT_EQ(fabric.churn, protocols::ChurnReport{});
 }
 
 }  // namespace

@@ -4,10 +4,14 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/params.hpp"
 #include "protocols/multi_hop_run.hpp"
 #include "protocols/single_hop_run.hpp"
+#include "protocols/topology.hpp"
 #include "sim/channel.hpp"
 #include "sim/simulator.hpp"
 
@@ -79,7 +83,9 @@ TEST(ChannelTrace, RecordsSendDropDeliver) {
   TraceLog log;
   Channel<int> ch(sim, rng, 0.0, 0.1, Distribution::kDeterministic,
                   [](const int&) {});
-  ch.set_trace(&log, "link", [](const int& v) { return std::to_string(v); });
+  const ChannelTrace<int> binding{
+      &log, "link", [](const int& v) { return std::to_string(v); }};
+  ch.set_trace(&binding);
   ch.send(7);
   sim.run();
   ASSERT_EQ(log.size(), 2u);
@@ -141,22 +147,29 @@ TEST(ChannelTrace, DetachedTracingIsZeroCost) {
 
   Channel<int> detached(sim, rng, 0.0, 0.1, Distribution::kDeterministic,
                         [](const int&) {});
-  // A describe formatter installed with a null log must never run.
-  detached.set_trace(nullptr, "link", counting_describe);
+  // A describe formatter bound with a null log must never run.
+  ChannelTrace<int> binding{nullptr, "link", counting_describe};
+  detached.set_trace(&binding);
   for (int i = 0; i < 100; ++i) detached.send(i);
   sim.run();
   EXPECT_EQ(describe_calls, 0);
 
   // Attaching the log turns both recording and formatting on; detaching
-  // turns both off again.
+  // turns both off again -- by nulling the binding's log, or by unbinding.
   TraceLog log;
-  detached.set_trace(&log, "link", counting_describe);
+  binding.log = &log;
   detached.send(1);
   sim.run();
   EXPECT_EQ(describe_calls, 2);  // send + deliver
   EXPECT_EQ(log.size(), 2u);
-  detached.set_trace(nullptr, "link", counting_describe);
+  binding.log = nullptr;
   detached.send(2);
+  sim.run();
+  EXPECT_EQ(describe_calls, 2);
+  EXPECT_EQ(log.size(), 2u);
+  binding.log = &log;
+  detached.set_trace(nullptr);
+  detached.send(3);
   sim.run();
   EXPECT_EQ(describe_calls, 2);
   EXPECT_EQ(log.size(), 2u);
@@ -194,6 +207,74 @@ TEST(HarnessTrace, MultiHopRunEmitsPerHopChannelEvents) {
   }
   EXPECT_TRUE(saw_first_hop);
   EXPECT_TRUE(saw_last_hop);
+}
+
+/// The (category, detail) pairs of a log's channel records, in order.
+std::vector<std::pair<TraceCategory, std::string>> channel_records(
+    const TraceLog& log) {
+  std::vector<std::pair<TraceCategory, std::string>> out;
+  for (const auto& r : log.records()) {
+    if (r.category == TraceCategory::kSession) continue;
+    out.emplace_back(r.category, r.detail);
+  }
+  return out;
+}
+
+TEST(HarnessTrace, SingleHopChannelDetailsKeepTheirExactFormat) {
+  // Lossless, deterministic delays: the first session's HS handshake is a
+  // fixed record sequence.  The channels render "<label> <wire name>" from
+  // the harness-owned bindings, exactly as the per-channel strings did.
+  TraceLog log(1 << 20);
+  protocols::SimOptions options;
+  options.sessions = 1;
+  options.seed = 3;
+  options.delay_model = DelayModel::kDeterministic;
+  options.trace = &log;
+  SingleHopParams params = SingleHopParams::kazaa_defaults();
+  params.loss = 0.0;
+  (void)protocols::run_single_hop(ProtocolKind::kHS, params, options);
+  const auto records = channel_records(log);
+  using C = TraceCategory;
+  const std::vector<std::pair<TraceCategory, std::string>> handshake = {
+      {C::kSend, "fwd TRIGGER"},        {C::kDeliver, "fwd TRIGGER"},
+      {C::kSend, "rev ACK-TRIGGER"},    {C::kDeliver, "rev ACK-TRIGGER"},
+  };
+  ASSERT_GE(records.size(), handshake.size());
+  EXPECT_EQ(std::vector(records.begin(), records.begin() + 4), handshake);
+  // ... and it ends with the removal: the receiver acknowledges it and the
+  // session is absorbed right there, so the run stops before the ACK lands.
+  const std::vector<std::pair<TraceCategory, std::string>> teardown = {
+      {C::kSend, "fwd REMOVE"},
+      {C::kDeliver, "fwd REMOVE"},
+      {C::kSend, "rev ACK-REMOVE"},
+  };
+  EXPECT_EQ(std::vector(records.end() - 3, records.end()), teardown);
+}
+
+TEST(HarnessTrace, TopologyChannelDetailsKeepTheirExactFormat) {
+  // A two-edge HS chain: the install walks dn0, dn1 and is acknowledged
+  // per hop on up0, up1, with the records in exact event order.
+  Simulator sim;
+  Rng channel_rng(1, 1);
+  Rng node_rng(1, 2);
+  TraceLog log;
+  protocols::TimerSettings timers;
+  timers.retrans = 10.0;  // no retransmission before the ACKs land
+  protocols::Topology topology(
+      sim, channel_rng, node_rng, mechanisms(ProtocolKind::kHS), timers,
+      TreeSpec::chain(2), {LossConfig::iid(0.0), LossConfig::iid(0.0)},
+      {DelayConfig::deterministic(0.01), DelayConfig::deterministic(0.01)},
+      nullptr, &log);
+  topology.sender().start(1);
+  sim.run_until(1.0);
+  using C = TraceCategory;
+  const std::vector<std::pair<TraceCategory, std::string>> expected = {
+      {C::kSend, "dn0 TRIGGER"},      {C::kDeliver, "dn0 TRIGGER"},
+      {C::kSend, "up0 ACK-TRIGGER"},  {C::kSend, "dn1 TRIGGER"},
+      {C::kDeliver, "up0 ACK-TRIGGER"}, {C::kDeliver, "dn1 TRIGGER"},
+      {C::kSend, "up1 ACK-TRIGGER"},  {C::kDeliver, "up1 ACK-TRIGGER"},
+  };
+  EXPECT_EQ(channel_records(log), expected);
 }
 
 }  // namespace
