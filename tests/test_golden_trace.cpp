@@ -272,6 +272,64 @@ TEST(GoldenTrace, LeafChurnRecordStreamsArePinned) {
   }
 }
 
+/// The run_tree pin conditions of the metric and churn-report goldens: a
+/// binary depth-3 tree under leaf churn and interior-relay crashes.
+analytic::TreeParams churn_crash_tree() {
+  return analytic::TreeParams::balanced(MultiHopParams{}, 2, 3);
+}
+
+protocols::TreeSimOptions churn_crash_run_options() {
+  protocols::TreeSimOptions options;
+  options.seed = 2024;
+  options.duration = 600.0;
+  options.churn.leaf_lifetime = 30.0;
+  options.churn.rejoin_rate = 1.0 / 15.0;
+  options.scenario.failure =
+      protocols::FailureConfig::relay_crash(1.0 / 40.0, 10.0, 5.0);
+  return options;
+}
+
+/// Every ChurnReport field of one protocol, the doubles as IEEE-754 bits.
+struct ChurnGolden {
+  ProtocolKind kind;
+  std::uint64_t joins;
+  std::uint64_t leaves;
+  std::uint64_t completed_joins;
+  std::uint64_t resolved_orphans;
+  std::uint64_t pending_joins;
+  std::uint64_t pending_orphans;
+  std::uint64_t setup_latency_sum;
+  std::uint64_t setup_latency_max;
+  std::uint64_t orphan_window_sum;
+  std::uint64_t orphan_window_max;
+  std::uint64_t censored_orphan_window_sum;
+};
+
+void expect_churn_report(const protocols::ChurnReport& actual,
+                         const ChurnGolden& golden, const char* what) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::string label =
+      std::string(what) + " " + std::string(to_string(golden.kind));
+  EXPECT_EQ(actual.joins, golden.joins) << label;
+  EXPECT_EQ(actual.leaves, golden.leaves) << label;
+  EXPECT_EQ(actual.completed_joins, golden.completed_joins) << label;
+  EXPECT_EQ(actual.resolved_orphans, golden.resolved_orphans) << label;
+  EXPECT_EQ(actual.pending_joins, golden.pending_joins) << label;
+  EXPECT_EQ(actual.pending_orphans, golden.pending_orphans) << label;
+  EXPECT_EQ(bits(actual.setup_latency_sum), golden.setup_latency_sum)
+      << label << " setup_latency_sum " << hex(bits(actual.setup_latency_sum));
+  EXPECT_EQ(bits(actual.setup_latency_max), golden.setup_latency_max)
+      << label << " setup_latency_max " << hex(bits(actual.setup_latency_max));
+  EXPECT_EQ(bits(actual.orphan_window_sum), golden.orphan_window_sum)
+      << label << " orphan_window_sum " << hex(bits(actual.orphan_window_sum));
+  EXPECT_EQ(bits(actual.orphan_window_max), golden.orphan_window_max)
+      << label << " orphan_window_max " << hex(bits(actual.orphan_window_max));
+  EXPECT_EQ(bits(actual.censored_orphan_window_sum),
+            golden.censored_orphan_window_sum)
+      << label << " censored_orphan_window_sum "
+      << hex(bits(actual.censored_orphan_window_sum));
+}
+
 TEST(GoldenTrace, TreeRunMetricsArePinned) {
   // Trace digests see only the channels, not the harness's monitors, so
   // this pins the result bits instead: every per-node and per-leaf-path
@@ -284,18 +342,9 @@ TEST(GoldenTrace, TreeRunMetricsArePinned) {
       {ProtocolKind::kSSRTR, 0x7d23fe383d0a9fd1ULL},
       {ProtocolKind::kHS, 0x5025549271aae875ULL},
   };
-  const analytic::TreeParams params =
-      analytic::TreeParams::balanced(MultiHopParams{}, 2, 3);
   for (const GoldenEntry& entry : kTreeMetricGolden) {
-    protocols::TreeSimOptions options;
-    options.seed = 2024;
-    options.duration = 600.0;
-    options.churn.leaf_lifetime = 30.0;
-    options.churn.rejoin_rate = 1.0 / 15.0;
-    options.scenario.failure =
-        protocols::FailureConfig::relay_crash(1.0 / 40.0, 10.0, 5.0);
-    const protocols::TreeSimResult result =
-        protocols::run_tree(entry.kind, params, options);
+    const protocols::TreeSimResult result = protocols::run_tree(
+        entry.kind, churn_crash_tree(), churn_crash_run_options());
     EXPECT_GT(result.churn.leaves, 0u) << to_string(entry.kind);
     EXPECT_GT(result.relay_crashes, 0u) << to_string(entry.kind);
     TraceDigest digest;
@@ -312,6 +361,35 @@ TEST(GoldenTrace, TreeRunMetricsArePinned) {
     EXPECT_EQ(actual, entry.digest)
         << "tree " << to_string(entry.kind)
         << " metric digest moved; actual " << hex(actual);
+  }
+}
+
+TEST(GoldenTrace, TreeRunChurnReportIsPinned) {
+  // Every ChurnReport field under the metric golden's conditions: join
+  // setup latencies, orphan windows (resolved and right-censored) and the
+  // pending counts -- the membership bookkeeping the digests above never
+  // see.
+  constexpr ChurnGolden kRunChurnGolden[] = {
+      {ProtocolKind::kSS, 112, 116, 109, 114, 1, 2,
+       0x404579e6e35c9df8ULL, 0x40317742a9bf6910ULL, 0x408bfeb6811f1e34ULL,
+       0x402deb45259fee2dULL, 0x40301044ae12bd80ULL},
+      {ProtocolKind::kSSER, 112, 116, 108, 116, 1, 0,
+       0x40508d986002e694ULL, 0x40317d2e836a8b30ULL, 0x404ff041b5b90f30ULL,
+       0x40292d9e08868ee5ULL, 0x0000000000000000ULL},
+      {ProtocolKind::kSSRT, 112, 116, 109, 114, 1, 2,
+       0x403e153addeab58cULL, 0x402a393b7fc887e0ULL, 0x408ba186fe0469fbULL,
+       0x402d8faa55b24980ULL, 0x40301044ae12bd80ULL},
+      {ProtocolKind::kSSRTR, 112, 116, 108, 116, 1, 0,
+       0x40400d934b408cddULL, 0x402a355b4626d1a0ULL, 0x4041679202bf1dabULL,
+       0x401c15de61c9a7e0ULL, 0x0000000000000000ULL},
+      {ProtocolKind::kHS, 112, 116, 111, 116, 1, 0,
+       0x40408ca08f359336ULL, 0x402b8085c5600900ULL, 0x405c11cdf3301896ULL,
+       0x403eb41482875b58ULL, 0x0000000000000000ULL},
+  };
+  for (const ChurnGolden& entry : kRunChurnGolden) {
+    const protocols::TreeSimResult result = protocols::run_tree(
+        entry.kind, churn_crash_tree(), churn_crash_run_options());
+    expect_churn_report(result.churn, entry, "run_tree");
   }
 }
 
@@ -380,6 +458,24 @@ TEST(GoldenTrace, TreeFarmMetricStreamIsPinned) {
       << "tree farm metric digest moved; actual " << hex(actual);
 }
 
+/// The teardown tree farm's pin conditions: binary depth-2 trees of 2-hop
+/// defaults, explicit teardown, leaf churn and relay crashes.
+analytic::TreeParams teardown_farm_tree() {
+  MultiHopParams base;
+  base.hops = 2;
+  return analytic::TreeParams::balanced(base, 2, 2);
+}
+
+exp::SessionFarmOptions teardown_farm_options() {
+  exp::SessionFarmOptions options = farm_pin_options();
+  options.teardown = true;
+  options.leaf_churn.leaf_lifetime = 5.0;
+  options.leaf_churn.rejoin_rate = 1.0 / 5.0;
+  options.scenario.failure =
+      protocols::FailureConfig::relay_crash(1.0 / 10.0, 4.0, 2.0);
+  return options;
+}
+
 TEST(GoldenTrace, TreeTeardownFarmMetricStreamIsPinned) {
   // The explicit-teardown window end, which the reference farm does not
   // model: each session's sender removes its state at lifetime end and the
@@ -407,18 +503,9 @@ TEST(GoldenTrace, TreeTeardownFarmMetricStreamIsPinned) {
       {ProtocolKind::kHS, 0xa5e3369d26245ea5ULL, 1944, 95, 77, 390, 501,
        11343},
   };
-  MultiHopParams base;
-  base.hops = 2;
-  const analytic::TreeParams tree = analytic::TreeParams::balanced(base, 2, 2);
-  exp::SessionFarmOptions options = farm_pin_options();
-  options.teardown = true;
-  options.leaf_churn.leaf_lifetime = 5.0;
-  options.leaf_churn.rejoin_rate = 1.0 / 5.0;
-  options.scenario.failure =
-      protocols::FailureConfig::relay_crash(1.0 / 10.0, 4.0, 2.0);
   for (const TeardownGolden& entry : kTeardownGolden) {
-    const exp::SessionFarmResult result =
-        exp::run_session_farm(entry.kind, tree, options);
+    const exp::SessionFarmResult result = exp::run_session_farm(
+        entry.kind, teardown_farm_tree(), teardown_farm_options());
     const std::uint64_t actual = farm_digest_of(result.per_session);
     EXPECT_EQ(actual, entry.digest)
         << "teardown tree farm " << to_string(entry.kind)
@@ -432,6 +519,34 @@ TEST(GoldenTrace, TreeTeardownFarmMetricStreamIsPinned) {
     EXPECT_EQ(result.churn.joins, entry.joins) << to_string(entry.kind);
     EXPECT_EQ(result.churn.leaves, entry.leaves) << to_string(entry.kind);
     EXPECT_EQ(result.events_executed, entry.events) << to_string(entry.kind);
+  }
+}
+
+TEST(GoldenTrace, TreeTeardownFarmChurnReportIsPinned) {
+  // The farm's ChurnReport, summed over sessions in global order, with
+  // every field pinned: sessions freeze their windows at lifetime end, so
+  // the pending and censored terms are large here.
+  constexpr ChurnGolden kFarmChurnGolden[] = {
+      {ProtocolKind::kSS, 390, 501, 382, 396, 2, 105,
+       0x40318393d95c4c3cULL, 0x401a1187107cb6b0ULL, 0x409669be256c8e4dULL,
+       0x402ddc0444354165ULL, 0x407313cd48a88be0ULL},
+      {ProtocolKind::kSSER, 390, 501, 342, 489, 10, 12,
+       0x404e48492c787ed7ULL, 0x4019abf10bc76bb0ULL, 0x4065347640b0fd1bULL,
+       0x40240b849898fe62ULL, 0x403feb20a1005531ULL},
+      {ProtocolKind::kSSRT, 390, 501, 383, 395, 1, 106,
+       0x40203fdc8126d298ULL, 0x3fff4edad0a00660ULL, 0x4096a88ddaee6bcaULL,
+       0x402de08cc04c7650ULL, 0x407355d73e7fd51aULL},
+      {ProtocolKind::kSSRTR, 390, 501, 354, 493, 6, 8,
+       0x4045170c284c4d41ULL, 0x4011577a7fdacfb8ULL, 0x405fa34bc0d9ba52ULL,
+       0x4023a077eb93686fULL, 0x403095be1b555df4ULL},
+      {ProtocolKind::kHS, 390, 501, 357, 493, 7, 8,
+       0x4051c334bcf38537ULL, 0x4024e1f433292b51ULL, 0x40608c8c61a1342aULL,
+       0x403013e8a8f59d1dULL, 0x402444942627efd1ULL},
+  };
+  for (const ChurnGolden& entry : kFarmChurnGolden) {
+    const exp::SessionFarmResult result = exp::run_session_farm(
+        entry.kind, teardown_farm_tree(), teardown_farm_options());
+    expect_churn_report(result.churn, entry, "teardown tree farm");
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace sigcomp::sim {
@@ -148,6 +150,41 @@ TEST(Rng, NormalMoments) {
   }
   EXPECT_NEAR(sum / kSamples, 0.0, 0.01);
   EXPECT_NEAR(sum_sq / kSamples, 1.0, 0.02);
+}
+
+TEST(Rng, NormalAndLognormalDrawsArePinned) {
+  // Box-Muller hands out its values in pairs, the second one cached for
+  // the next normal() -- which lognormal() shares.  Alternating the two
+  // pins the cache hand-off as well as every draw's bits.
+  constexpr std::uint64_t kDraws[64] = {
+      0x3fb03d7fdb3fa207ULL, 0x401d89f00aa15912ULL, 0xbfbca9b7b5bf261bULL,
+      0x3ff2ec8bdf609a7fULL, 0x3fc3d93c079516d5ULL, 0x3fd5e928fc319bc2ULL,
+      0x3feff4b22aa6b14dULL, 0x3fd7439ffb815fd1ULL, 0xbfea20e06a888f06ULL,
+      0x3ff5343b294ebf30ULL, 0xbfeef6026a3e0834ULL, 0x3fd75c8621c20cb2ULL,
+      0x3ff4e8ec6c1664f1ULL, 0x3fcbd880626f9faaULL, 0x4007227fe5444ac8ULL,
+      0x400036d2327f2d29ULL, 0xbfc355bc7716b64bULL, 0x3ff090ccb3c641a0ULL,
+      0xbfe98fcc62930977ULL, 0x3ff00399710d4c6bULL, 0x3fda0b2d6a7972d4ULL,
+      0x401bca76fc21930cULL, 0x3fdda5bb0170dbedULL, 0x3ff174cab3dff850ULL,
+      0xbfe7cb9134412e2eULL, 0x401421cb85ed3d54ULL, 0xbfdffd4187e38462ULL,
+      0x4003a62b749d9f7dULL, 0xbfd1a328edd08a2fULL, 0x3fde541a448bea35ULL,
+      0x3ff0645c768027f7ULL, 0x401611eda5d9161fULL, 0xbfcb3399425a11cbULL,
+      0x3fe6b6bf7228e174ULL, 0xbfa35fc6005ff200ULL, 0x3ff11df238c21259ULL,
+      0x3fd986e3287bb1beULL, 0x3fcb1d5d4eb10f17ULL, 0xbff3c1cb48c83cbfULL,
+      0x3ff0bd33aec81862ULL, 0x3fe5726e2e137b04ULL, 0x3fdd6141b4390f35ULL,
+      0x3fe8afd0802772a9ULL, 0x400af585ae96e227ULL, 0x3ff29ff8dfdd1f4bULL,
+      0x4002533ca9113522ULL, 0x3fe6e7008c4731c9ULL, 0x3fe65230a519a555ULL,
+      0x3f990e6bcf76fba5ULL, 0x3ff62dfa0283d82bULL, 0xc0012e1af5a9236bULL,
+      0x4016fdf39e88c649ULL, 0xbff4b7a1861d5211ULL, 0x3ff4baa05bd310e6ULL,
+      0xbfd0e51cfdfe3f98ULL, 0x3fe592062c4b3254ULL, 0x3fd4aca1f8e612bdULL,
+      0x401f979f0d33a311ULL, 0xbfea3b57bd7a3131ULL, 0x400343c9c319f3fcULL,
+      0x3fd0be299cb409f8ULL, 0x3ff80e1d3bce86fbULL, 0xbfe0f39c9feb2da4ULL,
+      0x3ffb610729174008ULL,
+  };
+  Rng rng(2024, 7);
+  for (int i = 0; i < 64; ++i) {
+    const double v = i % 2 == 0 ? rng.normal() : rng.lognormal(0.25, 0.8);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v), kDraws[i]) << "draw " << i;
+  }
 }
 
 TEST(SampleHelper, DeterministicReturnsMean) {
