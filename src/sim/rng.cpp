@@ -1,6 +1,7 @@
 #include "sim/rng.hpp"
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 namespace sigcomp::sim {
@@ -77,9 +78,10 @@ double Rng::exponential(double mean) noexcept {
 }
 
 double Rng::normal() noexcept {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
+  if (!std::isnan(cached_normal_)) {
+    const double cached = cached_normal_;
+    cached_normal_ = std::numeric_limits<double>::quiet_NaN();
+    return cached;
   }
   double u1 = 0.0;
   do {
@@ -89,7 +91,6 @@ double Rng::normal() noexcept {
   const double radius = std::sqrt(-2.0 * std::log(u1));
   const double angle = 2.0 * std::numbers::pi * u2;
   cached_normal_ = radius * std::sin(angle);
-  has_cached_normal_ = true;
   return radius * std::cos(angle);
 }
 

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 
 namespace sigcomp::sim {
 
@@ -55,9 +56,14 @@ class Rng {
 
  private:
   std::array<std::uint64_t, 4> state_{};
-  double cached_normal_ = 0.0;
-  bool has_cached_normal_ = false;
+  /// Box-Muller's second value, or NaN when none is cached: both values of
+  /// a pair are always finite, so NaN is free as the "empty" mark.
+  double cached_normal_ = std::numeric_limits<double>::quiet_NaN();
 };
+
+// A farm session holds five to seven streams, so every byte here counts
+// per session.
+static_assert(sizeof(Rng) <= 40, "an Rng is its state plus one double");
 
 /// How a protocol timer or channel delay is drawn.
 enum class Distribution {
