@@ -319,9 +319,10 @@ using FabricTable = std::vector<std::optional<FabricSubscriber>>;
 /// What a shard shares with every session it spawns, built once per shard
 /// and handed out by reference: the simulator, the run's parameters and
 /// options, the sink, the protocol nodes' NodeContext (mechanisms and
-/// timers) and -- single-hop farms only -- the validated channel
-/// configuration that every session's two channels point at.  Sessions
-/// keep one pointer to it instead of copies of their own.
+/// timers) and either the validated channel configuration that every
+/// single-hop session's two channels point at or the TreePlan every tree
+/// session's topology runs on.  Sessions keep one pointer to it instead of
+/// copies of their own.
 template <typename Params>
 struct ShardContext {
   ShardContext(sim::Simulator& simulator, ProtocolKind protocol,
@@ -342,6 +343,9 @@ struct ShardContext {
                       sim::DelayConfig{run_options.delay_model,
                                        run_params.delay,
                                        run_options.delay_shape});
+    } else {
+      tree.emplace(simulator, protocol, run_params, run_options.timer_dist,
+                   run_options.delay_model, run_options.delay_shape);
     }
   }
 
@@ -355,6 +359,7 @@ struct ShardContext {
   ShardSink& sink;
   protocols::NodeContext node;
   std::optional<sim::ChannelConfig> channel;  ///< single-hop farms only
+  std::optional<protocols::TreePlan> tree;    ///< tree farms only
   FabricTable* fabric = nullptr;  ///< fabric runs only: subscriber state
 };
 
@@ -631,14 +636,10 @@ class TreeSession {
 
   TreeSession(const Context& shard, std::uint64_t global_index,
               std::size_t local)
-      : sim_(shard.sim),
-        params_(shard.params),
-        options_(shard.options),
-        sink_(shard.sink),
+      : shard_(shard),
         local_(local),
-        tree_(shard.sim, shard.kind, shard.params, shard.options.timer_dist,
-              shard.options.delay_model, shard.options.delay_shape,
-              shard.options.leaf_churn, shard.options.scenario,
+        tree_(*shard.tree, shard.params, shard.options.leaf_churn,
+              shard.options.scenario,
               tree_streams(shard.options.seed, global_index)) {
     // The lifecycle stream's first draw is the arrival the shard's
     // pre-scan already scheduled (this constructor runs inside that
@@ -654,7 +655,7 @@ class TreeSession {
   /// Starts the session (the body of its arrival event).
   void begin() {
     tree_.start();
-    sim_.schedule_in(lifetime_, [this] { finish(); });
+    shard_.sim.schedule_in(lifetime_, [this] { finish(); });
   }
 
   /// Never recyclable -- see the class comment.
@@ -674,18 +675,20 @@ class TreeSession {
   /// the sender's remove() propagates down every branch for one timeout
   /// interval first.
   void finish() {
-    end_ = sim_.now();
+    end_ = shard_.sim.now();
     tree_.close();
-    sink_.churn[local_] = tree_.churn();
-    sink_.relay_crashes += tree_.relay_crashes();
-    sink_.relay_recoveries += tree_.relay_recoveries();
+    ShardSink& sink = shard_.sink;
+    sink.churn[local_] = tree_.churn();
+    sink.relay_crashes += tree_.relay_crashes();
+    sink.relay_recoveries += tree_.relay_recoveries();
     window_messages_ = tree_.topology().messages_sent();
-    if (!options_.teardown) {
+    if (!shard_.options.teardown) {
       finalize();
       return;
     }
     tree_.topology().sender().remove();
-    sim_.schedule_in(params_.timeout_timer, [this] { finalize(); });
+    shard_.sim.schedule_in(shard_.params.timeout_timer,
+                           [this] { finalize(); });
   }
 
   /// Counters frozen here: stragglers delivered to a stopped tree may still
@@ -696,31 +699,33 @@ class TreeSession {
     protocols::Topology& topology = tree_.topology();
     const std::uint64_t messages = topology.messages_sent();
     const auto sent = static_cast<double>(messages);
-    Metrics& metrics = sink_.metrics[local_];
+    ShardSink& sink = shard_.sink;
+    Metrics& metrics = sink.metrics[local_];
     metrics.inconsistency = tree_.inconsistency(end_);
     metrics.session_length = lifetime_;
     metrics.raw_message_rate = lifetime_ > 0.0 ? sent / lifetime_ : 0.0;
     metrics.message_rate = metrics.raw_message_rate;
     topology.stop();
-    sink_.teardown_messages += messages - window_messages_;
-    sink_.end[local_] = end_;
-    sink_.messages += messages;
-    sink_.receiver_timeouts += topology.relay_timeouts();
-    ++sink_.completed;
-    // No sink_.retire: the slot cools forever (never quiescent).
+    sink.teardown_messages += messages - window_messages_;
+    sink.end[local_] = end_;
+    sink.messages += messages;
+    sink.receiver_timeouts += topology.relay_timeouts();
+    ++sink.completed;
+    // No sink.retire: the slot cools forever (never quiescent).
   }
 
-  sim::Simulator& sim_;
-  // The shard keeps params/options alive for the sessions' whole lifetime.
-  const analytic::TreeParams& params_;
-  const SessionFarmOptions& options_;
-  ShardSink& sink_;
+  const Context& shard_;  ///< outlives every session of its shard
   std::size_t local_;
   protocols::TreeSession tree_;
   double lifetime_ = 0.0;
   double end_ = 0.0;                   ///< the window end
   std::uint64_t window_messages_ = 0;  ///< messages sent by the window end
 };
+
+// The arena slot of a tree session; its nodes and channels live in one
+// topology block (protocols::Topology) and its tree in the shard's plan.
+static_assert(sizeof(TreeSession) <= 880,
+              "a tree farm session keeps its tree in the shard's plan");
 
 /// One shared relay session: a SharedRelayHub plus its fabric identity and
 /// completion-time metrics capture.  Relay sessions arrive at t = 0 (they

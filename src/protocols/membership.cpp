@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -49,12 +51,19 @@ void ChurnReport::absorb(const ChurnReport& other) noexcept {
   censored_orphan_window_sum += other.censored_orphan_window_sum;
 }
 
+namespace {
+
+/// The plain controller's scenario: every rate zero.
+const ScenarioOptions kNoScenario{};
+
+}  // namespace
+
 MembershipController::MembershipController(sim::Simulator& sim,
                                            Topology& topology, sim::Rng& rng,
                                            const ChurnOptions& options,
                                            std::function<void()> changed)
-    : MembershipController(sim, topology, rng, options, ScenarioOptions{},
-                           nullptr, std::move(changed)) {}
+    : MembershipController(sim, topology, rng, options, kNoScenario, nullptr,
+                           std::move(changed)) {}
 
 MembershipController::MembershipController(
     sim::Simulator& sim, Topology& topology, sim::Rng& rng,
@@ -74,13 +83,16 @@ MembershipController::MembershipController(
     throw std::invalid_argument(
         "MembershipController: an active scenario needs a scenario rng");
   }
+  pending_joins_.reserve(topology_.plan().leaves().size());
+  orphans_.reserve(topology_.relays());
+  next_lingering_.assign(topology_.relays(), kNoRelay);
 }
 
 void MembershipController::start() {
   if (options_.enabled()) {
     // Leaves in increasing node order: the draw order is part of the
     // determinism contract.
-    for (const std::size_t leaf : topology_.spec().leaves()) {
+    for (const std::size_t leaf : topology_.plan().leaves()) {
       schedule_leave(leaf);
     }
   }
@@ -121,18 +133,43 @@ void MembershipController::do_burst() {
   if (finished_) return;
   // One shared-risk event: a uniformly drawn relay's whole subtree fails
   // its members at once -- every joined leaf below it leaves, in
-  // increasing node order (the deterministic iteration order).
+  // increasing node order (the deterministic iteration order).  A leaf is
+  // below relay r exactly when edge r is on its root path.
   const std::size_t failed_relay =
       scenario_rng_->uniform_int(topology_.relays());
-  for (const std::size_t leaf : topology_.spec().leaves()) {
+  const TreePlan& plan = topology_.plan();
+  for (const std::size_t leaf : plan.leaves()) {
     if (!topology_.leaf_active(leaf)) continue;
-    const std::vector<std::size_t> path = topology_.spec().path_edges(leaf);
+    const std::span<const std::size_t> path = plan.leaf_path(leaf);
     if (std::find(path.begin(), path.end(), failed_relay) == path.end()) {
       continue;
     }
     do_leave(leaf);
   }
   schedule_burst();
+}
+
+template <typename Gone>
+bool MembershipController::drop_relays(std::uint32_t& head, Gone gone) {
+  std::uint32_t* link = &head;
+  while (*link != kNoRelay) {
+    const std::uint32_t relay = *link;
+    if (gone(relay)) {
+      *link = next_lingering_[relay];
+      next_lingering_[relay] = kNoRelay;
+    } else {
+      link = &next_lingering_[relay];
+    }
+  }
+  return head == kNoRelay;
+}
+
+void MembershipController::resolve_orphan(std::size_t i) {
+  const double window = sim_.now() - orphans_[i].at;
+  ++report_.resolved_orphans;
+  report_.orphan_window_sum += window;
+  report_.orphan_window_max = std::max(report_.orphan_window_max, window);
+  orphans_.erase(orphans_.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 void MembershipController::do_leave(std::size_t leaf) {
@@ -150,15 +187,16 @@ void MembershipController::do_leave(std::size_t leaf) {
       pending_joins_.end());
   // The orphan window of this leave covers every pruned relay still
   // holding a copy; branches that were already clean resolve instantly.
-  Orphan orphan;
-  orphan.at = sim_.now();
+  Orphan orphan{sim_.now(), kNoRelay};
   for (const std::size_t e : pruned.pruned_edges) {
-    if (topology_.relay(e).value()) orphan.relays.push_back(e);
+    if (!topology_.relay(e).value()) continue;
+    next_lingering_[e] = orphan.head;
+    orphan.head = static_cast<std::uint32_t>(e);
   }
-  if (orphan.relays.empty()) {
+  if (orphan.head == kNoRelay) {
     ++report_.resolved_orphans;  // window of zero: nothing lingered
   } else {
-    orphans_.push_back(std::move(orphan));
+    orphans_.push_back(orphan);
   }
   schedule_join(leaf);
   if (changed_) changed_();
@@ -174,22 +212,13 @@ void MembershipController::do_join(std::size_t leaf) {
   pending_joins_.push_back(PendingJoin{leaf, sim_.now()});
   // Re-grafted relays are wanted again: their copy stops being orphaned the
   // moment membership returns, resolving the windows that covered them.
-  if (!graft.activated_edges.empty() && !orphans_.empty()) {
+  const std::span<const std::size_t> grafted = graft.activated_edges;
+  if (!grafted.empty() && !orphans_.empty()) {
+    const auto regrafted = [grafted](std::uint32_t relay) {
+      return std::find(grafted.begin(), grafted.end(), relay) != grafted.end();
+    };
     for (std::size_t i = orphans_.size(); i-- > 0;) {
-      Orphan& orphan = orphans_[i];
-      for (const std::size_t e : graft.activated_edges) {
-        orphan.relays.erase(
-            std::remove(orphan.relays.begin(), orphan.relays.end(), e),
-            orphan.relays.end());
-      }
-      if (orphan.relays.empty()) {
-        const double window = sim_.now() - orphan.at;
-        ++report_.resolved_orphans;
-        report_.orphan_window_sum += window;
-        report_.orphan_window_max = std::max(report_.orphan_window_max, window);
-        orphans_.erase(orphans_.begin() +
-                       static_cast<std::ptrdiff_t>(i));
-      }
+      if (drop_relays(orphans_[i].head, regrafted)) resolve_orphan(i);
     }
   }
   schedule_leave(leaf);
@@ -217,21 +246,11 @@ void MembershipController::on_state_change() {
   }
   // Orphan windows: a pruned branch resolves when its last lingering relay
   // copy is gone (timeout, removal delivery, or teardown).
+  const auto dropped = [this](std::uint32_t relay) {
+    return !topology_.relay(relay).value().has_value();
+  };
   for (std::size_t i = orphans_.size(); i-- > 0;) {
-    Orphan& orphan = orphans_[i];
-    orphan.relays.erase(
-        std::remove_if(orphan.relays.begin(), orphan.relays.end(),
-                       [this](std::size_t e) {
-                         return !topology_.relay(e).value().has_value();
-                       }),
-        orphan.relays.end());
-    if (orphan.relays.empty()) {
-      const double window = sim_.now() - orphan.at;
-      ++report_.resolved_orphans;
-      report_.orphan_window_sum += window;
-      report_.orphan_window_max = std::max(report_.orphan_window_max, window);
-      orphans_.erase(orphans_.begin() + static_cast<std::ptrdiff_t>(i));
-    }
+    if (drop_relays(orphans_[i].head, dropped)) resolve_orphan(i);
   }
 }
 

@@ -94,11 +94,18 @@ struct ChurnReport {
 /// joined (matching the static tree).  The owner must invoke
 /// on_state_change() from its topology on_change hook so pending joins and
 /// orphans resolve the instant node state moves.
+///
+/// Its bookkeeping is sized once, at construction, from the tree: at most
+/// one pending join per leaf, and at most one open orphan window per relay
+/// (a pruned relay leaves its window when its copy goes or its edge is
+/// grafted back, and only then can it be pruned again), with each window's
+/// lingering relays chained through one per-relay link array.  Joins,
+/// leaves, bursts and state changes never allocate.
 class MembershipController {
  public:
   /// `changed` (may be null) fires after every membership flip so the
-  /// owner's consistency monitors can resample; `rng` must outlive the
-  /// controller and is its only randomness source.
+  /// owner's consistency monitors can resample; `rng` and `options` must
+  /// outlive the controller; `rng` is its only randomness source.
   MembershipController(sim::Simulator& sim, Topology& topology, sim::Rng& rng,
                        const ChurnOptions& options,
                        std::function<void()> changed);
@@ -110,7 +117,7 @@ class MembershipController {
   /// scenario.membership_processes() is true).  With every scenario rate
   /// at zero this is bit-identical to the plain overload: the iid churn
   /// draws come from `rng` exactly as before and `scenario_rng` is never
-  /// touched.
+  /// touched.  `scenario` must outlive the controller.
   MembershipController(sim::Simulator& sim, Topology& topology, sim::Rng& rng,
                        const ChurnOptions& options,
                        const ScenarioOptions& scenario,
@@ -142,6 +149,13 @@ class MembershipController {
   void schedule_burst();
   void do_burst();
 
+  /// Unlinks from the lingering-relay chain starting at `head` every relay
+  /// `gone` says has left it; true when none lingers any more.
+  template <typename Gone>
+  bool drop_relays(std::uint32_t& head, Gone gone);
+  /// Counts orphans_[i]'s window as resolved now and erases it.
+  void resolve_orphan(std::size_t i);
+
   /// One join awaiting its first consistent sample at the leaf.
   struct PendingJoin {
     std::size_t leaf = 0;
@@ -150,20 +164,26 @@ class MembershipController {
   /// One pruned branch whose relays still held state at leave time.
   struct Orphan {
     double at = 0.0;
-    std::vector<std::size_t> relays;  ///< relay ids still holding state
+    std::uint32_t head = 0;  ///< first lingering relay; see next_lingering_
   };
+  /// End of a lingering-relay chain.
+  static constexpr std::uint32_t kNoRelay = ~std::uint32_t{0};
 
   sim::Simulator& sim_;
   Topology& topology_;
   sim::Rng& rng_;
-  ChurnOptions options_;
-  ScenarioOptions scenario_;
+  const ChurnOptions& options_;
+  const ScenarioOptions& scenario_;
   sim::Rng* scenario_rng_ = nullptr;  ///< scenario substream (may be null)
   ArrivalProcess arrival_;            ///< rejoin-process sampler
   std::function<void()> changed_;
 
+  /// In join order; capacity one per leaf, reserved up front.
   std::vector<PendingJoin> pending_joins_;
+  /// In leave order; capacity one per relay, reserved up front.
   std::vector<Orphan> orphans_;
+  /// By relay: the next relay of the same orphan's chain (kNoRelay ends it).
+  std::vector<std::uint32_t> next_lingering_;
   ChurnReport report_;
   bool finished_ = false;
 };

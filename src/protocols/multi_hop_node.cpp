@@ -1,42 +1,22 @@
 #include "protocols/multi_hop_node.hpp"
 
-#include <utility>
-
 namespace sigcomp::protocols {
 
 // ------------------------------------------------------------ TreeSender --
 
-TreeSender::TreeSender(const NodeContext& ctx, sim::Rng& rng,
-                       std::vector<MessageChannel*> down, Hook on_change)
-    : ctx_(&ctx),
-      rng_(&rng),
-      down_(std::move(down)),
-      on_change_(on_change),
-      child_active_(down_.size(), 1),
-      child_installed_(down_.size(), 0),
-      slot_(ctx, rng) {
-  // Sized once, before any timer can be armed: slots capture `this`-stable
-  // addresses in their retransmission closures, so the vector must never
-  // reallocate afterwards.
-  reliable_down_.reserve(down_.size());
-  for (MessageChannel* channel : down_) {
-    reliable_down_.emplace_back(ctx, rng, channel);
-  }
-}
-
-void TreeSender::send_trigger_to(std::size_t c) {
+void TreeSender::send_trigger_to(ChildEdge& edge) {
   const Message msg{MessageType::kTrigger, *slot_.value(), trigger_seq_, 0};
-  child_installed_[c] = 1;
+  edge.installed = true;
   if (ctx_->mech.reliable_trigger) {
-    reliable_down_[c].send(msg);
+    edge.reliable.send(msg);
   } else {
-    down_[c]->send(msg);
+    edge.down->send(msg);
   }
 }
 
 void TreeSender::send_trigger() {
-  for (std::size_t c = 0; c < down_.size(); ++c) {
-    if (child_active_[c]) send_trigger_to(c);
+  for (ChildEdge& edge : children_) {
+    if (edge.active) send_trigger_to(edge);
   }
 }
 
@@ -66,26 +46,26 @@ void TreeSender::arm_refresh() {
         if (slot_.value()) {
           const Message msg{MessageType::kRefresh, *slot_.value(),
                             trigger_seq_, 0};
-          for (std::size_t c = 0; c < down_.size(); ++c) {
-            if (!child_active_[c]) continue;
-            child_installed_[c] = 1;
-            down_[c]->send(msg);
+          for (ChildEdge& edge : children_) {
+            if (!edge.active) continue;
+            edge.installed = true;
+            edge.down->send(msg);
           }
           arm_refresh();
         }
       });
 }
 
-/// Emits one removal down child edge c: reliably (superseding any pending
+/// Emits one removal down `edge`: reliably (superseding any pending
 /// trigger in the slot) when the protocol's removals are reliable, best
 /// effort -- with the pending trigger cancelled -- otherwise.
-void TreeSender::send_removal_to(std::size_t c, std::uint64_t seq) {
+void TreeSender::send_removal_to(ChildEdge& edge, std::uint64_t seq) {
   const Message msg{MessageType::kRemove, 0, seq, 0};
   if (ctx_->mech.reliable_removal) {
-    reliable_down_[c].send(msg);
+    edge.reliable.send(msg);
   } else {
-    reliable_down_[c].cancel();
-    down_[c]->send(msg);
+    edge.reliable.cancel();
+    edge.down->send(msg);
   }
 }
 
@@ -96,49 +76,50 @@ void TreeSender::remove() {
     // One removal, fanned down every branch that was ever installed; each
     // per-child reliable slot matches its own ACK against the shared seq.
     const std::uint64_t seq = next_seq_++;
-    for (std::size_t c = 0; c < down_.size(); ++c) {
-      if (!child_installed_[c]) {
-        reliable_down_[c].cancel();
+    for (ChildEdge& edge : children_) {
+      if (!edge.installed) {
+        edge.reliable.cancel();
         continue;
       }
-      child_installed_[c] = 0;
-      send_removal_to(c, seq);
+      edge.installed = false;
+      send_removal_to(edge, seq);
     }
   } else {
-    for (ReliableSlot& slot : reliable_down_) slot.cancel();
+    for (ChildEdge& edge : children_) edge.reliable.cancel();
   }
   on_change_();
 }
 
 void TreeSender::graft_child(std::size_t c) {
-  child_active_[c] = 1;
-  if (slot_.value()) send_trigger_to(c);
+  children_[c].active = true;
+  if (slot_.value()) send_trigger_to(children_[c]);
 }
 
 void TreeSender::deactivate_child(std::size_t c) {
-  child_active_[c] = 0;
-  reliable_down_[c].cancel();
+  children_[c].active = false;
+  children_[c].reliable.cancel();
 }
 
 void TreeSender::prune_child(std::size_t c) {
   deactivate_child(c);
-  if (ctx_->mech.explicit_removal && child_installed_[c]) {
-    child_installed_[c] = 0;
-    send_removal_to(c, next_seq_++);
+  ChildEdge& edge = children_[c];
+  if (ctx_->mech.explicit_removal && edge.installed) {
+    edge.installed = false;
+    send_removal_to(edge, next_seq_++);
   }
 }
 
 void TreeSender::stop() {
   slot_.clear();
   cancel_timer(*ctx_->sim, refresh_timer_);
-  for (ReliableSlot& slot : reliable_down_) slot.cancel();
+  for (ChildEdge& edge : children_) edge.reliable.cancel();
 }
 
-void TreeSender::handle_from_downstream(const Message& msg, std::size_t child) {
+void TreeSender::handle_from_child(const Message& msg, ChildEdge& edge) {
   switch (msg.type) {
     case MessageType::kAckTrigger:
     case MessageType::kAckRemove:
-      reliable_down_[child].acknowledge(msg.seq);
+      edge.reliable.acknowledge(msg.seq);
       break;
     case MessageType::kNotice:
       // A receiver removed our state (timeout or false external signal);
@@ -146,7 +127,7 @@ void TreeSender::handle_from_downstream(const Message& msg, std::size_t child) {
       // The fresh trigger goes down every branch: relays that still hold
       // the value re-ack the duplicate without re-forwarding it.
       if (ctx_->mech.external_failure_detector) {
-        down_[child]->send(Message{MessageType::kAckNotice, 0, msg.seq, 0});
+        edge.down->send(Message{MessageType::kAckNotice, 0, msg.seq, 0});
       }
       if (slot_.value()) {
         trigger_seq_ = next_seq_++;
@@ -160,22 +141,6 @@ void TreeSender::handle_from_downstream(const Message& msg, std::size_t child) {
 
 // ------------------------------------------------------------- TreeRelay --
 
-TreeRelay::TreeRelay(const NodeContext& ctx, sim::Rng& rng, MessageChannel* up,
-                     std::vector<MessageChannel*> down, Hook on_change)
-    : ctx_(&ctx),
-      up_(up),
-      down_(std::move(down)),
-      on_change_(on_change),
-      reliable_up_(ctx, rng, up),
-      child_active_(down_.size(), 1),
-      child_installed_(down_.size(), 0),
-      slot_(ctx, rng, Hook::bind<&TreeRelay::on_expire>(this)) {
-  reliable_down_.reserve(down_.size());  // fixed size; see TreeSender
-  for (MessageChannel* channel : down_) {
-    reliable_down_.emplace_back(ctx, rng, channel);
-  }
-}
-
 /// The soft-state timeout fired and the slot dropped the value: emit the
 /// one-hop repair notice where the protocol has removal notification.
 void TreeRelay::on_expire() {
@@ -186,30 +151,30 @@ void TreeRelay::on_expire() {
   on_change_();
 }
 
-void TreeRelay::forward_trigger_to(std::size_t child, std::int64_t value) {
+void TreeRelay::forward_trigger_to(ChildEdge& edge, std::int64_t value) {
   const Message msg{MessageType::kTrigger, value, next_seq_++, 0};
-  child_installed_[child] = 1;
+  edge.installed = true;
   if (ctx_->mech.reliable_trigger) {
-    reliable_down_[child].send(msg);
+    edge.reliable.send(msg);
   } else {
-    down_[child]->send(msg);
+    edge.down->send(msg);
   }
 }
 
 void TreeRelay::forward_trigger(std::int64_t value) {
-  for (std::size_t c = 0; c < down_.size(); ++c) {
-    if (child_active_[c]) forward_trigger_to(c, value);
+  for (ChildEdge& edge : children_) {
+    if (edge.active) forward_trigger_to(edge, value);
   }
 }
 
-/// Emits one removal down child edge c (see TreeSender::send_removal_to).
-void TreeRelay::send_removal_to(std::size_t c, std::uint64_t seq) {
+/// Emits one removal down `edge` (see TreeSender::send_removal_to).
+void TreeRelay::send_removal_to(ChildEdge& edge, std::uint64_t seq) {
   const Message msg{MessageType::kRemove, 0, seq, 0};
   if (ctx_->mech.reliable_removal) {
-    reliable_down_[c].send(msg);
+    edge.reliable.send(msg);
   } else {
-    reliable_down_[c].cancel();
-    down_[c]->send(msg);
+    edge.reliable.cancel();
+    edge.down->send(msg);
   }
 }
 
@@ -217,21 +182,30 @@ void TreeRelay::send_removal_to(std::size_t c, std::uint64_t seq) {
 /// (NOT gated on activity: a removal chases state wherever it went).
 void TreeRelay::forward_removal() {
   const std::uint64_t seq = next_seq_++;
-  for (std::size_t c = 0; c < down_.size(); ++c) {
-    if (!child_installed_[c]) continue;
-    child_installed_[c] = 0;
-    send_removal_to(c, seq);
+  for (ChildEdge& edge : children_) {
+    if (!edge.installed) continue;
+    edge.installed = false;
+    send_removal_to(edge, seq);
+  }
+}
+
+/// Sends a reliable teardown down every child edge (HS recovery), each
+/// with its own seq.
+void TreeRelay::flood_teardown() {
+  for (ChildEdge& edge : children_) {
+    edge.installed = false;
+    edge.reliable.send(Message{MessageType::kTeardown, 0, next_seq_++, 0});
   }
 }
 
 void TreeRelay::graft_child(std::size_t c) {
-  child_active_[c] = 1;
-  if (slot_.value()) forward_trigger_to(c, *slot_.value());
+  children_[c].active = true;
+  if (slot_.value()) forward_trigger_to(children_[c], *slot_.value());
 }
 
 void TreeRelay::deactivate_child(std::size_t c) {
-  child_active_[c] = 0;
-  reliable_down_[c].cancel();
+  children_[c].active = false;
+  children_[c].reliable.cancel();
 }
 
 void TreeRelay::prune_child(std::size_t c) {
@@ -241,9 +215,10 @@ void TreeRelay::prune_child(std::size_t c) {
   // soft-state timeouts (or to the removal that chases them after
   // recovery).
   if (crashed_) return;
-  if (ctx_->mech.explicit_removal && child_installed_[c]) {
-    child_installed_[c] = 0;
-    send_removal_to(c, next_seq_++);
+  ChildEdge& edge = children_[c];
+  if (ctx_->mech.explicit_removal && edge.installed) {
+    edge.installed = false;
+    send_removal_to(edge, next_seq_++);
   }
 }
 
@@ -269,10 +244,10 @@ void TreeRelay::handle_from_upstream(const Message& msg) {
       slot_.set(msg.value);
       slot_.arm_timeout();
       // Forward the refresh copy down every active branch, best effort.
-      for (std::size_t c = 0; c < down_.size(); ++c) {
-        if (!child_active_[c]) continue;
-        child_installed_[c] = 1;
-        down_[c]->send(msg);
+      for (ChildEdge& edge : children_) {
+        if (!edge.active) continue;
+        edge.installed = true;
+        edge.down->send(msg);
       }
       on_change_();
       break;
@@ -297,11 +272,7 @@ void TreeRelay::handle_from_upstream(const Message& msg) {
       // Reliable downstream propagation of a removal signal (HS recovery).
       up_->send(Message{MessageType::kAckNotice, 0, msg.seq, 0});
       if (slot_.clear()) on_change_();
-      for (std::size_t c = 0; c < down_.size(); ++c) {
-        child_installed_[c] = 0;
-        reliable_down_[c].send(
-            Message{MessageType::kTeardown, 0, next_seq_++, 0});
-      }
+      flood_teardown();
       break;
     case MessageType::kAckNotice:
       reliable_up_.acknowledge(msg.seq);
@@ -311,29 +282,29 @@ void TreeRelay::handle_from_upstream(const Message& msg) {
   }
 }
 
-void TreeRelay::handle_from_downstream(const Message& msg, std::size_t child) {
+void TreeRelay::handle_from_child(const Message& msg, ChildEdge& edge) {
   if (crashed_) return;  // a dead process hears nothing
   switch (msg.type) {
     case MessageType::kAckTrigger:
     case MessageType::kAckNotice:
     case MessageType::kAckRemove:
-      reliable_down_[child].acknowledge(msg.seq);
+      edge.reliable.acknowledge(msg.seq);
       break;
     case MessageType::kNotice:
       if (ctx_->mech.external_failure_detector) {
         // HS recovery: acknowledge, drop our own state, keep flooding the
         // notice toward the sender.
-        down_[child]->send(Message{MessageType::kAckNotice, 0, msg.seq, 0});
+        edge.down->send(Message{MessageType::kAckNotice, 0, msg.seq, 0});
         if (slot_.value()) {
           slot_.clear();
           on_change_();
         }
         reliable_up_.send(Message{MessageType::kNotice, 0, next_seq_++, 0});
-      } else if (slot_.value() && child_active_[child]) {
+      } else if (slot_.value() && edge.active) {
         // SS+RT one-hop repair: re-install our value down the branch the
         // notice came from (the other branches kept their copies) -- unless
         // the branch was pruned, in which case the timeout was the point.
-        forward_trigger_to(child, *slot_.value());
+        forward_trigger_to(edge, *slot_.value());
       }
       break;
     default:
@@ -344,13 +315,13 @@ void TreeRelay::handle_from_downstream(const Message& msg, std::size_t child) {
 void TreeRelay::stop() {
   slot_.clear();
   reliable_up_.cancel();
-  for (ReliableSlot& slot : reliable_down_) slot.cancel();
+  for (ChildEdge& edge : children_) edge.reliable.cancel();
 }
 
 void TreeRelay::crash() {
   const bool held = slot_.clear();
   reliable_up_.cancel();
-  for (ReliableSlot& slot : reliable_down_) slot.cancel();
+  for (ChildEdge& edge : children_) edge.reliable.cancel();
   crashed_ = true;
   if (held) on_change_();
 }
@@ -362,10 +333,7 @@ void TreeRelay::external_removal_signal() {
   if (!slot_.clear()) return;
   on_change_();
   reliable_up_.send(Message{MessageType::kNotice, 0, next_seq_++, 0});
-  for (std::size_t c = 0; c < down_.size(); ++c) {
-    child_installed_[c] = 0;
-    reliable_down_[c].send(Message{MessageType::kTeardown, 0, next_seq_++, 0});
-  }
+  flood_teardown();
 }
 
 }  // namespace sigcomp::protocols

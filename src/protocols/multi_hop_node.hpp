@@ -27,7 +27,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "core/protocol.hpp"
 #include "protocols/engine.hpp"
@@ -39,6 +39,36 @@
 
 namespace sigcomp::protocols {
 
+/// A node's state for one child edge: the channel toward the child, the
+/// edge's reliable slot (one per edge, so one slow branch cannot stall
+/// another), and whether signaling flows down it (`active`) and whether
+/// state was ever pushed down it (`installed`).  The owner of the tree
+/// (protocols::Topology) keeps every node's child edges in one contiguous
+/// array; a node sees its own as a span.  Never moves once a timer is
+/// armed: the reliable slot's retransmission event points at it.
+struct ChildEdge {
+  /// `ctx`, `rng` and `channel` (toward the child) must outlive the edge.
+  ChildEdge(const NodeContext& ctx, sim::Rng& rng,
+            MessageChannel& channel) noexcept
+      : down(&channel), reliable(ctx, rng, &channel) {}
+
+  ChildEdge(const ChildEdge&) = delete;             ///< pinned in place
+  ChildEdge& operator=(const ChildEdge&) = delete;  ///< pinned in place
+
+  /// Delivery target for the edge's upward channel: hands the message to
+  /// the parent node (`parent`, a Node) as arriving from this child.
+  template <typename Node>
+  void deliver_up(const Message& msg) {
+    static_cast<Node*>(parent)->handle_from_child(msg, *this);
+  }
+
+  MessageChannel* down;   ///< parent -> child
+  ReliableSlot reliable;  ///< reliable sends down the edge
+  void* parent = nullptr;  ///< the parent node, for deliver_up
+  bool active = true;      ///< signaling flows down the edge
+  bool installed = false;  ///< state was pushed down the edge
+};
+
 /// The signaling sender at the root of the tree.  The state value changes
 /// on updates and is removed only by an explicit remove() (graceful,
 /// signaled) or stop() (silent).  Fan-out: triggers and refreshes go down
@@ -46,12 +76,17 @@ namespace sigcomp::protocols {
 /// one slow branch cannot stall another.
 class TreeSender {
  public:
-  /// `down[c]` is the channel toward child c; the vector's order defines
-  /// the child indices used by handle_from_downstream.  `ctx`, `rng` and
-  /// the channels must outlive the node; `on_change` fires on every local
-  /// state change.
+  /// `children[c]` is child edge c; the span's order defines the child
+  /// indices used by handle_from_downstream.  `ctx`, `rng` and the child
+  /// edges must outlive the node; `on_change` fires on every local state
+  /// change.
   TreeSender(const NodeContext& ctx, sim::Rng& rng,
-             std::vector<MessageChannel*> down, Hook on_change = {});
+             std::span<ChildEdge> children, Hook on_change = {}) noexcept
+      : ctx_(&ctx),
+        rng_(&rng),
+        children_(children),
+        on_change_(on_change),
+        slot_(ctx, rng) {}
 
   TreeSender(const TreeSender&) = delete;             ///< non-copyable
   TreeSender& operator=(const TreeSender&) = delete;  ///< non-copyable
@@ -69,7 +104,12 @@ class TreeSender {
   void remove();
 
   /// Message arriving from child `child` (ACKs, notices).
-  void handle_from_downstream(const Message& msg, std::size_t child = 0);
+  void handle_from_downstream(const Message& msg, std::size_t child = 0) {
+    handle_from_child(msg, children_[child]);
+  }
+
+  /// Message arriving up `edge`, one of this node's child edges.
+  void handle_from_child(const Message& msg, ChildEdge& edge);
 
   /// Re-activates child edge `c` (a leaf joined somewhere below it) and
   /// re-installs the current value down it if one is held.
@@ -87,7 +127,7 @@ class TreeSender {
 
   /// True when signaling flows down child edge `c`.
   [[nodiscard]] bool child_active(std::size_t c) const {
-    return child_active_[c] != 0;
+    return children_[c].active;
   }
 
   /// Silently ends the session: clears state and cancels every pending
@@ -100,21 +140,18 @@ class TreeSender {
     return slot_.value();
   }
   /// Number of child edges.
-  [[nodiscard]] std::size_t fanout() const noexcept { return down_.size(); }
+  [[nodiscard]] std::size_t fanout() const noexcept { return children_.size(); }
 
  private:
   void send_trigger();
-  void send_trigger_to(std::size_t c);
-  void send_removal_to(std::size_t c, std::uint64_t seq);
+  void send_trigger_to(ChildEdge& edge);
+  void send_removal_to(ChildEdge& edge, std::uint64_t seq);
   void arm_refresh();
 
   const NodeContext* ctx_;
   sim::Rng* rng_;
-  std::vector<MessageChannel*> down_;
+  std::span<ChildEdge> children_;  ///< owned by the tree, fixed size
   Hook on_change_;
-  std::vector<ReliableSlot> reliable_down_;  ///< one per child, fixed size
-  std::vector<char> child_active_;     ///< signaling flows down edge c
-  std::vector<char> child_installed_;  ///< state was pushed down edge c
 
   StateSlot slot_;  ///< the authoritative root copy (never armed)
   std::uint64_t next_seq_ = 1;
@@ -126,12 +163,18 @@ class TreeSender {
 /// signaling down its child edges; a leaf (no children) is a receiver.
 class TreeRelay {
  public:
-  /// `up` sends toward the parent; `down[c]` toward child c (empty for a
-  /// leaf).  The vector's order defines the child indices used by
-  /// handle_from_downstream.  `ctx`, `rng` and the channels must outlive
-  /// the node; `on_change` fires on every local state change.
+  /// `up` sends toward the parent; `children[c]` is child edge c (none
+  /// for a leaf).  The span's order defines the child indices used by
+  /// handle_from_downstream.  `ctx`, `rng`, `up` and the child edges must
+  /// outlive the node; `on_change` fires on every local state change.
   TreeRelay(const NodeContext& ctx, sim::Rng& rng, MessageChannel* up,
-            std::vector<MessageChannel*> down, Hook on_change = {});
+            std::span<ChildEdge> children, Hook on_change = {}) noexcept
+      : ctx_(&ctx),
+        up_(up),
+        children_(children),
+        on_change_(on_change),
+        reliable_up_(ctx, rng, up),
+        slot_(ctx, rng, Hook::bind<&TreeRelay::on_expire>(this)) {}
 
   TreeRelay(const TreeRelay&) = delete;             ///< non-copyable
   TreeRelay& operator=(const TreeRelay&) = delete;  ///< non-copyable
@@ -141,7 +184,12 @@ class TreeRelay {
   void handle_from_upstream(const Message& msg);
 
   /// Message arriving from child `child` (ACKs, notices).
-  void handle_from_downstream(const Message& msg, std::size_t child = 0);
+  void handle_from_downstream(const Message& msg, std::size_t child = 0) {
+    handle_from_child(msg, children_[child]);
+  }
+
+  /// Message arriving up `edge`, one of this node's child edges.
+  void handle_from_child(const Message& msg, ChildEdge& edge);
 
   /// HS external failure detector fired (falsely) at this node: remove
   /// state, notify upstream (toward the sender) and tear down every branch
@@ -161,7 +209,7 @@ class TreeRelay {
 
   /// True when signaling flows down child edge `c`.
   [[nodiscard]] bool child_active(std::size_t c) const {
-    return child_active_[c] != 0;
+    return children_[c].active;
   }
 
   /// Silently ends the session (see TreeSender::stop).
@@ -192,23 +240,21 @@ class TreeRelay {
     return slot_.timeouts();
   }
   /// Number of child edges (0 = this relay is a receiver).
-  [[nodiscard]] std::size_t fanout() const noexcept { return down_.size(); }
+  [[nodiscard]] std::size_t fanout() const noexcept { return children_.size(); }
 
  private:
   void on_expire();
   void forward_trigger(std::int64_t value);
-  void forward_trigger_to(std::size_t child, std::int64_t value);
-  void send_removal_to(std::size_t c, std::uint64_t seq);
+  void forward_trigger_to(ChildEdge& edge, std::int64_t value);
+  void send_removal_to(ChildEdge& edge, std::uint64_t seq);
   void forward_removal();
+  void flood_teardown();
 
   const NodeContext* ctx_;
   MessageChannel* up_;
-  std::vector<MessageChannel*> down_;  ///< empty for a leaf
+  std::span<ChildEdge> children_;  ///< owned by the tree; empty for a leaf
   Hook on_change_;
-  std::vector<ReliableSlot> reliable_down_;  ///< one per child, fixed size
   ReliableSlot reliable_up_;
-  std::vector<char> child_active_;     ///< signaling flows down edge c
-  std::vector<char> child_installed_;  ///< state was pushed down edge c
 
   StateSlot slot_;  ///< the held copy plus its soft-state timeout
   std::uint64_t next_seq_ = 1;
@@ -220,5 +266,13 @@ class TreeRelay {
 /// Chain names for the same nodes: a chain is the fan-out-1 tree.
 using ChainSender = TreeSender;
 using ChainRelay = TreeRelay;
+
+// Layout pins: a tree session holds one sender, one relay per edge and one
+// ChildEdge per edge, so these bytes multiply by the edge count of every
+// tree in a farm.  Nodes see their child edges as a span into the tree's
+// flat storage instead of owning per-child vectors.
+static_assert(sizeof(ChildEdge) <= 96, "a child edge is a slot plus flags");
+static_assert(sizeof(TreeSender) <= 136, "the sender owns no per-child storage");
+static_assert(sizeof(TreeRelay) <= 208, "a relay owns no per-child storage");
 
 }  // namespace sigcomp::protocols

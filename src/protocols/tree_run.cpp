@@ -28,57 +28,41 @@ void sample(sim::TimeWeightedValue& indicator, double now, bool bad) {
 
 }  // namespace
 
-TreeSession::TreeSession(sim::Simulator& sim, ProtocolKind kind,
+TreeSession::TreeSession(const TreePlan& plan,
                          const analytic::TreeParams& params,
-                         sim::Distribution timer_dist,
-                         sim::DelayModel delay_model, double delay_shape,
                          const ChurnOptions& churn,
                          const ScenarioOptions& scenario, TreeStreams streams,
                          Hook hook, sim::TraceLog* trace)
-    : sim_(sim),
+    : sim_(*plan.node().sim),
       params_(params),
-      mech_(mechanisms(kind)),
       streams_(streams),
-      hook_(std::move(hook)) {
-  const TimerSettings timers{timer_dist, params.refresh_timer,
-                             params.timeout_timer, params.retrans_timer};
-  // Edge e's two directions share the link's loss/delay.
-  std::vector<sim::LossConfig> edge_loss;
-  std::vector<sim::DelayConfig> edge_delay;
-  edge_loss.reserve(params.edges());
-  edge_delay.reserve(params.edges());
-  for (std::size_t e = 0; e < params.edges(); ++e) {
-    edge_loss.push_back(params.edge_loss_config(e));
-    edge_delay.push_back(
-        sim::DelayConfig{delay_model, params.delay[e], delay_shape});
-  }
-  topology_ = std::make_unique<Topology>(
-      sim, streams_.channel, streams_.nodes, mech_, timers, params.tree,
-      edge_loss, edge_delay, [this] { resample(); }, trace);
+      hook_(std::move(hook)),
+      topology_(plan, streams_.channel, streams_.nodes,
+                protocols::Hook::bind<&TreeSession::resample>(this), trace) {
   if (churn.enabled() || scenario.membership_processes()) {
     // The controller feeds membership flips back through resample() so the
     // indicator moves the instant the required set does.  Churn and
     // scenario modulation each draw from their own stream, so a zero-churn
     // run replays the static tree, and an unmodulated run the iid-churn
     // trace, bit for bit.
-    membership_ = std::make_unique<MembershipController>(
-        sim, *topology_, streams_.membership, churn, scenario,
-        &streams_.scenario_arrival, [this] { resample(); });
+    membership_.emplace(sim_, topology_, streams_.membership, churn, scenario,
+                        &streams_.scenario_arrival, [this] { resample(); });
   }
   if (scenario.failure.enabled()) {
     failure_ = std::make_unique<RelayFailureProcess>(
-        sim, *topology_, streams_.scenario_failure, scenario.failure,
-        mech_.external_failure_detector);
+        sim_, topology_, streams_.scenario_failure, scenario.failure,
+        plan.node().mech.external_failure_detector);
   }
 }
 
 void TreeSession::start() {
   inconsistent_ = sim::TimeWeightedValue(sim_.now());
-  topology_->sender().start(++version_);
+  topology_.sender().start(++version_);
   schedule_update();
-  if (mech_.external_failure_detector && params_.false_signal_rate > 0.0) {
-    false_signal_events_.resize(topology_->relays());
-    for (std::size_t i = 0; i < topology_->relays(); ++i) {
+  if (topology_.plan().node().mech.external_failure_detector &&
+      params_.false_signal_rate > 0.0) {
+    false_signal_events_.resize(topology_.relays());
+    for (std::size_t i = 0; i < topology_.relays(); ++i) {
       schedule_false_signal(i);
     }
   }
@@ -89,9 +73,9 @@ void TreeSession::start() {
 
 bool TreeSession::node_ok(std::size_t node) const {
   // Without churn every node is required -- the historical definition.
-  const std::optional<std::int64_t> held = topology_->relay(node - 1).value();
-  return topology_->node_required(node) ? held == topology_->sender().value()
-                                        : !held.has_value();
+  const std::optional<std::int64_t> held = topology_.relay(node - 1).value();
+  return topology_.node_required(node) ? held == topology_.sender().value()
+                                       : !held.has_value();
 }
 
 void TreeSession::resample() {
@@ -100,7 +84,7 @@ void TreeSession::resample() {
   // This runs on every state change at every node, so it must not
   // allocate.
   bool all_ok = true;
-  for (std::size_t node = 1; node <= topology_->relays(); ++node) {
+  for (std::size_t node = 1; node <= topology_.relays(); ++node) {
     if (!node_ok(node)) {
       all_ok = false;
       break;
@@ -117,10 +101,7 @@ void TreeSession::close() {
   // event straggles past the window (the farm's teardown tests pin a flat
   // event pool).
   if (failure_) failure_->stop();
-  if (update_event_) {
-    sim_.cancel(*update_event_);
-    update_event_.reset();
-  }
+  cancel_timer(sim_, update_event_);
   for (const std::optional<sim::EventId>& id : false_signal_events_) {
     if (id) sim_.cancel(*id);
   }
@@ -143,8 +124,8 @@ void TreeSession::schedule_update() {
   if (params_.update_rate <= 0.0) return;
   update_event_ = sim_.schedule_in(
       streams_.lifecycle.exponential(1.0 / params_.update_rate), [this] {
-        update_event_.reset();
-        topology_->sender().update(++version_);
+        update_event_ = {};
+        topology_.sender().update(++version_);
         schedule_update();
       });
 }
@@ -154,7 +135,7 @@ void TreeSession::schedule_false_signal(std::size_t relay) {
       streams_.failure.exponential(1.0 / params_.false_signal_rate),
       [this, relay] {
         false_signal_events_[relay].reset();
-        topology_->relay(relay).external_removal_signal();
+        topology_.relay(relay).external_removal_signal();
         schedule_false_signal(relay);
       });
 }
@@ -185,9 +166,10 @@ TreeSimResult run_tree(ProtocolKind kind, const analytic::TreeParams& params,
   std::vector<char> path_ok(params.tree.nodes(), 1);
   sim::Simulator sim;
   const std::uint64_t seed = options.seed;
+  const TreePlan plan(sim, kind, params, options.timer_dist,
+                      options.delay_model, options.delay_shape);
   TreeSession session(
-      sim, kind, params, options.timer_dist, options.delay_model,
-      options.delay_shape, options.churn, options.scenario,
+      plan, params, options.churn, options.scenario,
       TreeStreams{sim::Rng(seed, rng::kTreeChannel),
                   sim::Rng(seed, rng::kTreeNodes),
                   sim::Rng(seed, rng::kTreeLifecycle),

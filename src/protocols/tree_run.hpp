@@ -63,13 +63,12 @@ class TreeSession {
   /// path monitors from it.  The farm attaches none.
   using Hook = std::function<void(const TreeSession&, bool all_ok)>;
 
-  /// Builds the topology (and the churn controller and failure process
-  /// when `churn` or `scenario` enable them).  `params` must be valid and
-  /// outlive the session; `kind` must support multi-hop trees.  Nothing is
-  /// scheduled until start().
-  TreeSession(sim::Simulator& sim, ProtocolKind kind,
-              const analytic::TreeParams& params, sim::Distribution timer_dist,
-              sim::DelayModel delay_model, double delay_shape,
+  /// Builds the topology over `plan` (and the churn controller and failure
+  /// process when `churn` or `scenario` enable them).  `plan` must be
+  /// params' plan for a protocol that supports multi-hop trees; `plan`,
+  /// `params`, `churn` and `scenario` must be valid and outlive the
+  /// session.  Nothing is scheduled until start().
+  TreeSession(const TreePlan& plan, const analytic::TreeParams& params,
               const ChurnOptions& churn, const ScenarioOptions& scenario,
               TreeStreams streams, Hook hook = nullptr,
               sim::TraceLog* trace = nullptr);
@@ -100,10 +99,10 @@ class TreeSession {
   }
 
   /// The wired tree.
-  [[nodiscard]] Topology& topology() noexcept { return *topology_; }
+  [[nodiscard]] Topology& topology() noexcept { return topology_; }
   /// The wired tree (const).
   [[nodiscard]] const Topology& topology() const noexcept {
-    return *topology_;
+    return topology_;
   }
 
   /// The lifecycle stream, before start() draws from it: the farm draws
@@ -125,16 +124,15 @@ class TreeSession {
 
   sim::Simulator& sim_;
   const analytic::TreeParams& params_;
-  MechanismSet mech_;
   TreeStreams streams_;
   Hook hook_;
-  std::unique_ptr<Topology> topology_;
-  std::unique_ptr<MembershipController> membership_;
+  Topology topology_;
+  std::optional<MembershipController> membership_;
   std::unique_ptr<RelayFailureProcess> failure_;
   sim::TimeWeightedValue inconsistent_;
   std::int64_t version_ = 0;
   bool closed_ = false;
-  std::optional<sim::EventId> update_event_;
+  sim::TimerId update_event_;
   std::vector<std::optional<sim::EventId>> false_signal_events_;
 };
 

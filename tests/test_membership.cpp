@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -47,6 +48,11 @@ struct Wired {
   }
 };
 
+/// The edge ids a join or leave reports, as a vector.
+std::vector<std::size_t> edges_of(std::span<const std::size_t> edges) {
+  return {edges.begin(), edges.end()};
+}
+
 // ------------------------------------------------- topology bookkeeping --
 
 TEST(TopologyMembership, JoinLeaveBookkeeping) {
@@ -61,7 +67,7 @@ TEST(TopologyMembership, JoinLeaveBookkeeping) {
 
   // Leaf 3 departs: only its own edge dies (node 1 still feeds leaf 4).
   const protocols::Topology::PruneResult first = t.leave(3);
-  EXPECT_EQ(first.pruned_edges, (std::vector<std::size_t>{2}));
+  EXPECT_EQ(edges_of(first.pruned_edges), (std::vector<std::size_t>{2}));
   EXPECT_EQ(t.active_leaf_count(), 3u);
   EXPECT_FALSE(t.leaf_active(3));
   EXPECT_FALSE(t.node_required(3));
@@ -71,13 +77,13 @@ TEST(TopologyMembership, JoinLeaveBookkeeping) {
   // Leaf 4 departs too: node 1's whole subtree is dead, so the prune point
   // climbs to the root's edge 0.
   const protocols::Topology::PruneResult second = t.leave(4);
-  EXPECT_EQ(second.pruned_edges, (std::vector<std::size_t>{0, 3}));
+  EXPECT_EQ(edges_of(second.pruned_edges), (std::vector<std::size_t>{0, 3}));
   EXPECT_EQ(second.prune_edge(), 0u);
   EXPECT_FALSE(t.node_required(1));
 
   // Rejoining leaf 3 reactivates exactly the dead path edges.
   const protocols::Topology::GraftResult graft = t.join(3);
-  EXPECT_EQ(graft.activated_edges, (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(edges_of(graft.activated_edges), (std::vector<std::size_t>{0, 2}));
   EXPECT_TRUE(t.node_required(1));
   EXPECT_FALSE(t.node_required(4));
 }

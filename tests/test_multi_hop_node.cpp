@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -101,9 +103,10 @@ struct RelayFixture {
     timers.timeout = 15.0;
     timers.retrans = 0.5;
     ctx = NodeContext{&sim, mechanisms(kind), timers};
-    std::vector<MessageChannel*> children;
-    if (!is_last) children.push_back(&down);
-    relay = std::make_unique<ChainRelay>(ctx, rng, &up, std::move(children));
+    child.emplace(ctx, rng, down);
+    relay = std::make_unique<ChainRelay>(
+        ctx, rng, &up,
+        std::span<ChildEdge>(&*child, is_last ? 0 : 1));
   }
 
   sim::Simulator sim;
@@ -113,6 +116,7 @@ struct RelayFixture {
   Capture down_capture;
   MessageChannel up;
   MessageChannel down;
+  std::optional<ChildEdge> child;  ///< the edge toward `down`
   std::unique_ptr<ChainRelay> relay;
 };
 
@@ -229,8 +233,9 @@ struct SenderFixture {
     timers.timeout = 15.0;
     timers.retrans = 0.5;
     ctx = NodeContext{&sim, mechanisms(kind), timers};
+    child.emplace(ctx, rng, down);
     sender = std::make_unique<ChainSender>(
-        ctx, rng, std::vector<MessageChannel*>{&down});
+        ctx, rng, std::span<ChildEdge>(&*child, 1));
   }
 
   sim::Simulator sim;
@@ -238,6 +243,7 @@ struct SenderFixture {
   sim::Rng rng;
   Capture capture;
   MessageChannel down;
+  std::optional<ChildEdge> child;  ///< the edge toward `down`
   std::unique_ptr<ChainSender> sender;
 };
 

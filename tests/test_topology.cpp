@@ -6,10 +6,12 @@
 #include "protocols/topology.hpp"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -303,6 +305,124 @@ TEST(TreeRun, ReplicatedEstimatesCoverTheMean) {
   EXPECT_GT(result.message_rate.mean, 0.0);
   EXPECT_GE(result.worst_leaf_inconsistency.mean,
             result.inconsistency.mean * 0.0);  // defined and non-negative
+}
+
+// ------------------------------------------------------ TreePlan / layout --
+
+/// A spec whose nodes' child edges are not contiguous in edge order: node
+/// 1's children are edges 2 and 4, so child slots differ from edge ids.
+TreeSpec interleaved_spec() {
+  TreeSpec spec;
+  spec.parent = {0, 0, 1, 2, 1};
+  return spec;
+}
+
+/// A lossless deterministic plan over `spec` for protocol `kind`.
+std::unique_ptr<protocols::TreePlan> lossless_plan(sim::Simulator& sim,
+                                                   ProtocolKind kind,
+                                                   const TreeSpec& spec) {
+  return std::make_unique<protocols::TreePlan>(
+      sim, mechanisms(kind), protocols::TimerSettings{}, spec,
+      std::vector<sim::LossConfig>(spec.edges(), sim::LossConfig::iid(0.0)),
+      std::vector<sim::DelayConfig>(
+          spec.edges(),
+          sim::DelayConfig{sim::DelayModel::kDeterministic, 0.01, 1.5}));
+}
+
+TEST(TreePlan, DerivesChildSlotsLeavesAndRootPathsFromTheSpec) {
+  for (const TreeSpec& spec :
+       {interleaved_spec(), TreeSpec::chain(4), TreeSpec::balanced(3, 2, 5),
+        TreeSpec::balanced(4, 2)}) {
+    sim::Simulator sim;
+    const auto plan = lossless_plan(sim, ProtocolKind::kSS, spec);
+    for (std::size_t n = 0; n < spec.nodes(); ++n) {
+      const std::vector<std::size_t> kids = spec.children(n);
+      ASSERT_EQ(plan->fanout(n), kids.size()) << "node " << n;
+      for (std::size_t c = 0; c < kids.size(); ++c) {
+        EXPECT_EQ(plan->child_index(kids[c]), c);
+        EXPECT_EQ(plan->child_slot(kids[c]), plan->child_begin(n) + c);
+      }
+      EXPECT_EQ(plan->is_leaf(n), n != 0 && spec.is_leaf(n)) << "node " << n;
+    }
+    EXPECT_FALSE(plan->is_leaf(spec.nodes()));
+    const std::vector<std::size_t> leaves = spec.leaves();
+    EXPECT_EQ(std::vector<std::size_t>(plan->leaves().begin(),
+                                       plan->leaves().end()),
+              leaves);
+    for (const std::size_t leaf : leaves) {
+      const std::span<const std::size_t> path = plan->leaf_path(leaf);
+      EXPECT_EQ(std::vector<std::size_t>(path.begin(), path.end()),
+                spec.path_edges(leaf))
+          << "leaf " << leaf;
+    }
+  }
+}
+
+TEST(TreePlan, InterleavedChildSlotsRouteEveryAckToItsOwnEdge) {
+  // Reliable triggers on a lossless tree: each edge carries one trigger
+  // and one ACK unless an ACK reaches the wrong child's reliable slot,
+  // which would leave the right one retransmitting.
+  const TreeSpec spec = interleaved_spec();
+  for (const ProtocolKind kind : {ProtocolKind::kSSRTR, ProtocolKind::kHS}) {
+    sim::Simulator sim;
+    sim::Rng channel_rng(5, 0);
+    sim::Rng node_rng(5, 1);
+    const auto plan = lossless_plan(sim, kind, spec);
+    protocols::Topology topology(*plan, channel_rng, node_rng, {});
+    topology.sender().start(7);
+    sim.run_until(3.0);  // ten retransmission timers, no refresh yet
+    for (std::size_t e = 0; e < spec.edges(); ++e) {
+      EXPECT_EQ(topology.relay(e).value(), 7) << to_string(kind) << " " << e;
+      EXPECT_EQ(topology.edge_messages_sent(e), 2u)
+          << to_string(kind) << " edge " << e;
+    }
+    topology.stop();
+  }
+}
+
+TEST(TreeSessionFootprint, HeapBytesPerSessionStayWithinTheFlatLayout) {
+  // glibc's mallinfo2 sees only glibc's heap; sanitizer runtimes bring
+  // their own allocator, so there is nothing to measure under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators bypass mallinfo2";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "sanitizer allocators bypass mallinfo2";
+#endif
+#endif
+  // tree_churn's tree: 21 nodes, 20 edges, 16 leaves, churn enabled.  A
+  // session holds its own object plus one topology block (sender, 20
+  // relays, 20 child edges, 40 channels, per-node counters) and the
+  // membership controller's three fixed-capacity arrays.  The bound is the
+  // new layout's ~11.4 KB with some slack; the layout with a copy of the
+  // plan, a heap object per node and channel and per-node child vectors
+  // took 16.8 KB.
+  const analytic::TreeParams params =
+      analytic::TreeParams::balanced(MultiHopParams{}, 4, 2);
+  sim::Simulator sim;
+  const protocols::TreePlan plan(sim, ProtocolKind::kSSRT, params,
+                                 sim::Distribution::kDeterministic,
+                                 sim::DelayModel::kExponential, 1.5);
+  protocols::ChurnOptions churn;
+  churn.leaf_lifetime = 30.0;
+  churn.rejoin_rate = 1.0 / 30.0;
+  const protocols::ScenarioOptions scenario;
+  constexpr std::size_t kSessions = 64;
+  std::vector<std::unique_ptr<protocols::TreeSession>> sessions;
+  sessions.reserve(kSessions);
+  const std::size_t before = mallinfo2().uordblks;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    sessions.push_back(std::make_unique<protocols::TreeSession>(
+        plan, params, churn, scenario,
+        protocols::TreeStreams{sim::Rng(i, 0), sim::Rng(i, 1), sim::Rng(i, 2),
+                               sim::Rng(i, 3), sim::Rng(i, 4), sim::Rng(i, 5),
+                               sim::Rng(i, 6)}));
+  }
+  const std::size_t after = mallinfo2().uordblks;
+  const double per_session =
+      static_cast<double>(after - before) / static_cast<double>(kSessions);
+  EXPECT_GT(per_session, static_cast<double>(sizeof(protocols::TreeSession)));
+  EXPECT_LE(per_session, 12288.0);
 }
 
 // ---------------------------------------------------- teardown / pool churn --
