@@ -133,9 +133,10 @@ std::size_t place(std::size_t& offset, std::size_t count) {
   return at;
 }
 
+/// The storage for T objects at `offset` of the block.
 template <typename T>
 T* at(std::byte* block, std::size_t offset) {
-  return std::launder(reinterpret_cast<T*>(block + offset));
+  return static_cast<T*>(static_cast<void*>(block + offset));
 }
 
 }  // namespace
@@ -232,8 +233,9 @@ void Topology::build(sim::Rng& channel_rng, sim::Rng& node_rng,
                                   children(e + 1), on_change_);
   }
 
-  // Edge e's down channel feeds relay e; its up channel feeds e's parent
-  // through the parent's ChildEdge for e, which carries the child index.
+  // Edge e's down channel feeds relay e; its up channel feeds the
+  // parent's ChildEdge for e, which hands each message to the parent as
+  // arriving from that child.
   for (std::size_t e = 0; e < e_count; ++e) {
     down(e).set_sink(
         MessageChannel::Delivery::bind<&TreeRelay::handle_from_upstream>(
