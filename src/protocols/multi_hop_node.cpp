@@ -275,7 +275,7 @@ void TreeRelay::handle_from_upstream(const Message& msg) {
       flood_teardown();
       break;
     case MessageType::kAckNotice:
-      reliable_up_.acknowledge(msg.seq);
+      if (reliable_up_ != nullptr) reliable_up_->acknowledge(msg.seq);
       break;
     default:
       break;
@@ -299,7 +299,7 @@ void TreeRelay::handle_from_child(const Message& msg, ChildEdge& edge) {
           slot_.clear();
           on_change_();
         }
-        reliable_up_.send(Message{MessageType::kNotice, 0, next_seq_++, 0});
+        reliable_up_->send(Message{MessageType::kNotice, 0, next_seq_++, 0});
       } else if (slot_.value() && edge.active) {
         // SS+RT one-hop repair: re-install our value down the branch the
         // notice came from (the other branches kept their copies) -- unless
@@ -314,13 +314,13 @@ void TreeRelay::handle_from_child(const Message& msg, ChildEdge& edge) {
 
 void TreeRelay::stop() {
   slot_.clear();
-  reliable_up_.cancel();
+  if (reliable_up_ != nullptr) reliable_up_->cancel();
   for (ChildEdge& edge : children_) edge.reliable.cancel();
 }
 
 void TreeRelay::crash() {
   const bool held = slot_.clear();
-  reliable_up_.cancel();
+  if (reliable_up_ != nullptr) reliable_up_->cancel();
   for (ChildEdge& edge : children_) edge.reliable.cancel();
   crashed_ = true;
   if (held) on_change_();
@@ -332,7 +332,9 @@ void TreeRelay::external_removal_signal() {
   if (crashed_) return;  // the detector cannot fire inside a dead process
   if (!slot_.clear()) return;
   on_change_();
-  reliable_up_.send(Message{MessageType::kNotice, 0, next_seq_++, 0});
+  if (reliable_up_ != nullptr) {
+    reliable_up_->send(Message{MessageType::kNotice, 0, next_seq_++, 0});
+  }
   flood_teardown();
 }
 

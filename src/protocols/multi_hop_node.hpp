@@ -165,15 +165,19 @@ class TreeRelay {
  public:
   /// `up` sends toward the parent; `children[c]` is child edge c (none
   /// for a leaf).  The span's order defines the child indices used by
-  /// handle_from_downstream.  `ctx`, `rng`, `up` and the child edges must
-  /// outlive the node; `on_change` fires on every local state change.
+  /// handle_from_downstream.  `reliable_up` sends the HS recovery notices
+  /// toward the parent; only the external failure detector sends them, so
+  /// it may be null when ctx.mech has none.  `ctx`, `rng`, `up`, the child
+  /// edges and `reliable_up` must outlive the node; `on_change` fires on
+  /// every local state change.
   TreeRelay(const NodeContext& ctx, sim::Rng& rng, MessageChannel* up,
-            std::span<ChildEdge> children, Hook on_change = {}) noexcept
+            std::span<ChildEdge> children, ReliableSlot* reliable_up,
+            Hook on_change = {}) noexcept
       : ctx_(&ctx),
         up_(up),
         children_(children),
         on_change_(on_change),
-        reliable_up_(ctx, rng, up),
+        reliable_up_(reliable_up),
         slot_(ctx, rng, Hook::bind<&TreeRelay::on_expire>(this)) {}
 
   TreeRelay(const TreeRelay&) = delete;             ///< non-copyable
@@ -192,8 +196,8 @@ class TreeRelay {
   void handle_from_child(const Message& msg, ChildEdge& edge);
 
   /// HS external failure detector fired (falsely) at this node: remove
-  /// state, notify upstream (toward the sender) and tear down every branch
-  /// below.
+  /// state, notify upstream (toward the sender; only with a reliable
+  /// upstream slot) and tear down every branch below.
   void external_removal_signal();
 
   /// Re-activates child edge `c` and re-installs the locally cached value
@@ -254,7 +258,7 @@ class TreeRelay {
   MessageChannel* up_;
   std::span<ChildEdge> children_;  ///< owned by the tree; empty for a leaf
   Hook on_change_;
-  ReliableSlot reliable_up_;
+  ReliableSlot* reliable_up_;  ///< HS notices toward the parent (may be null)
 
   StateSlot slot_;  ///< the held copy plus its soft-state timeout
   std::uint64_t next_seq_ = 1;
@@ -270,9 +274,11 @@ using ChainRelay = TreeRelay;
 // Layout pins: a tree session holds one sender, one relay per edge and one
 // ChildEdge per edge, so these bytes multiply by the edge count of every
 // tree in a farm.  Nodes see their child edges as a span into the tree's
-// flat storage instead of owning per-child vectors.
+// flat storage instead of owning per-child vectors, and a relay's upstream
+// reliable slot lives there too, only for protocols that use it.
 static_assert(sizeof(ChildEdge) <= 96, "a child edge is a slot plus flags");
 static_assert(sizeof(TreeSender) <= 136, "the sender owns no per-child storage");
-static_assert(sizeof(TreeRelay) <= 208, "a relay owns no per-child storage");
+static_assert(sizeof(TreeRelay) <= 144,
+              "a relay owns no per-child or HS-only storage");
 
 }  // namespace sigcomp::protocols

@@ -192,10 +192,12 @@ void Topology::build(sim::Rng& channel_rng, sim::Rng& node_rng,
     }
   }
 
+  const std::size_t up_slots = up_slot_count();
   std::size_t bytes = 0;
   const std::size_t sender_at = place<TreeSender>(bytes, 1);
   const std::size_t relays_at = place<TreeRelay>(bytes, e_count);
   const std::size_t edges_at = place<ChildEdge>(bytes, e_count);
+  const std::size_t up_slots_at = place<ReliableSlot>(bytes, up_slots);
   const std::size_t channels_at = place<MessageChannel>(bytes, 2 * e_count);
   const std::size_t below_at = place<std::uint32_t>(bytes, n_count);
   const std::size_t joined_at = place<char>(bytes, n_count);
@@ -221,6 +223,10 @@ void Topology::build(sim::Rng& channel_rng, sim::Rng& node_rng,
     ::new (&child_edges_[plan.child_slot(e)])
         ChildEdge(plan.node(), node_rng, down(e));
   }
+  reliable_up_ = at<ReliableSlot>(block, up_slots_at);
+  for (std::size_t e = 0; e < up_slots; ++e) {
+    ::new (&reliable_up_[e]) ReliableSlot(plan.node(), node_rng, &up(e));
+  }
   const auto children = [&](std::size_t node) {
     return std::span<ChildEdge>(child_edges_ + plan.child_begin(node),
                                 plan.fanout(node));
@@ -229,8 +235,9 @@ void Topology::build(sim::Rng& channel_rng, sim::Rng& node_rng,
       TreeSender(plan.node(), node_rng, children(0), on_change_);
   relays_ = at<TreeRelay>(block, relays_at);
   for (std::size_t e = 0; e < e_count; ++e) {
-    ::new (&relays_[e]) TreeRelay(plan.node(), node_rng, &up(e),
-                                  children(e + 1), on_change_);
+    ::new (&relays_[e])
+        TreeRelay(plan.node(), node_rng, &up(e), children(e + 1),
+                  up_slots == 0 ? nullptr : &reliable_up_[e], on_change_);
   }
 
   // Edge e's down channel feeds relay e; its up channel feeds the
@@ -274,6 +281,7 @@ Topology::~Topology() {
   const std::size_t e_count = plan_->edges();
   std::destroy_n(relays_, e_count);
   std::destroy_at(sender_);
+  std::destroy_n(reliable_up_, up_slot_count());
   std::destroy_n(child_edges_, e_count);
   std::destroy_n(channels_, 2 * e_count);
 }

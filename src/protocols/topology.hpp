@@ -128,7 +128,9 @@ class TreePlan {
 /// Owns one tree's nodes and channels over a shared TreePlan, plus the
 /// change hook and the channels' trace bindings.  Storage is one block per
 /// topology: the sender, E relays, E child edges (in the plan's child-slot
-/// order) and 2E channels, followed by the per-node membership counters.
+/// order), the relays' E upstream reliable slots (HS only: no other
+/// protocol signals reliably toward the root) and 2E channels, followed by
+/// the per-node membership counters.
 /// Channel trace labels are "dn<e>" (away from the root) and "up<e>"
 /// (toward the root) -- on a chain spec these coincide with the historical
 /// per-hop labels.
@@ -266,6 +268,12 @@ class Topology {
   void prune_edge_at(std::size_t e);
   void deactivate_edge(std::size_t e);
 
+  /// Relays' upstream reliable slots: one per edge under HS, whose failure
+  /// detector is the only sender of reliable notices toward the root.
+  [[nodiscard]] std::size_t up_slot_count() const noexcept {
+    return plan_->node().mech.external_failure_detector ? plan_->edges() : 0;
+  }
+
   /// Edge e's channels: down (parent -> child) and up (child -> parent).
   [[nodiscard]] MessageChannel& down(std::size_t e) { return channels_[2 * e]; }
   [[nodiscard]] MessageChannel& up(std::size_t e) {
@@ -279,6 +287,7 @@ class Topology {
   TreeSender* sender_ = nullptr;
   TreeRelay* relays_ = nullptr;           ///< by edge
   ChildEdge* child_edges_ = nullptr;      ///< by child slot
+  ReliableSlot* reliable_up_ = nullptr;   ///< by edge; see up_slot_count
   MessageChannel* channels_ = nullptr;    ///< 2e: down, 2e + 1: up
   std::uint32_t* active_below_ = nullptr;  ///< by node: joined leaves below
   char* leaf_joined_ = nullptr;  ///< by node; nonzero for joined leaves

@@ -104,9 +104,10 @@ struct RelayFixture {
     timers.retrans = 0.5;
     ctx = NodeContext{&sim, mechanisms(kind), timers};
     child.emplace(ctx, rng, down);
+    up_slot.emplace(ctx, rng, &up);
     relay = std::make_unique<ChainRelay>(
-        ctx, rng, &up,
-        std::span<ChildEdge>(&*child, is_last ? 0 : 1));
+        ctx, rng, &up, std::span<ChildEdge>(&*child, is_last ? 0 : 1),
+        &*up_slot);
   }
 
   sim::Simulator sim;
@@ -117,6 +118,7 @@ struct RelayFixture {
   MessageChannel up;
   MessageChannel down;
   std::optional<ChildEdge> child;  ///< the edge toward `down`
+  std::optional<ReliableSlot> up_slot;  ///< reliable notices toward `up`
   std::unique_ptr<ChainRelay> relay;
 };
 
