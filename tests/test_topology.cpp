@@ -380,6 +380,30 @@ TEST(TreePlan, InterleavedChildSlotsRouteEveryAckToItsOwnEdge) {
   }
 }
 
+TEST(TreePlan, InterleavedChildSlotsPruneAndGraftTheRightEdge) {
+  // Leaf 5 hangs off node 1 as its second child (edge 4, child slot 3);
+  // leaf 4 hangs off node 2 (edge 3, slot 4).  Under timeout-pruned soft
+  // state, leaf 5's departure must starve exactly node 5 of refreshes, and
+  // its rejoin must re-install it through the same edge.
+  sim::Simulator sim;
+  sim::Rng channel_rng(6, 0);
+  sim::Rng node_rng(6, 1);
+  const auto plan = lossless_plan(sim, ProtocolKind::kSS, interleaved_spec());
+  protocols::Topology topology(*plan, channel_rng, node_rng, {});
+  topology.sender().start(3);
+  sim.run_until(1.0);
+  (void)topology.leave(5);
+  sim.run_until(40.0);  // past the 15 s timeout, refreshes every 5 s
+  for (std::size_t e = 0; e < 4; ++e) {
+    EXPECT_EQ(topology.relay(e).value(), 3) << "edge " << e;
+  }
+  EXPECT_FALSE(topology.relay(4).value().has_value());
+  (void)topology.join(5);
+  sim.run_until(41.0);
+  EXPECT_EQ(topology.relay(4).value(), 3);
+  topology.stop();
+}
+
 TEST(TreeSessionFootprint, HeapBytesPerSessionStayWithinTheFlatLayout) {
   // glibc's mallinfo2 sees only glibc's heap; sanitizer runtimes bring
   // their own allocator, so there is nothing to measure under them.
