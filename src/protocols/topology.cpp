@@ -136,7 +136,7 @@ std::size_t place(std::size_t& offset, std::size_t count) {
 /// The storage for T objects at `offset` of the block.
 template <typename T>
 T* at(std::byte* block, std::size_t offset) {
-  return static_cast<T*>(static_cast<void*>(block + offset));
+  return reinterpret_cast<T*>(block + offset);
 }
 
 }  // namespace
